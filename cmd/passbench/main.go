@@ -17,7 +17,7 @@
 //	passbench -recover            # checkpoint recovery vs from-zero re-ingest (BENCH_recover.json)
 //	passbench -disclose           # remote DPAPI disclosure, per-record vs batched (BENCH_disclose.json)
 //	passbench -replicate          # hedged vs unhedged reads on a replicated group (BENCH_replicate.json)
-//	passbench -swarm              # protocol v3 frames vs v2 lines under a 1k-session swarm (BENCH_swarm.json)
+//	passbench -swarm              # the serving edge under a 1k-session swarm, plus noisy-tenant isolation (BENCH_swarm.json)
 //	passbench -verify             # tamper-evidence costs: MMR ingest overhead, proofs, audit (BENCH_verify.json)
 //	passbench -all                # everything
 //	passbench -scale 0.4          # workload scale (1.0 = paper-sized)
@@ -58,10 +58,10 @@ func main() {
 	discloseRecords := flag.Int("disclose-records", 4000, "disclose: records per phase")
 	discloseBatch := flag.Int("disclose-batch", 64, "disclose: DPAPI ops per pipelined batch")
 	discloseJSON := flag.String("disclose-json", "BENCH_disclose.json", "disclose: file for the JSON result (empty = don't write)")
-	swarm := flag.Bool("swarm", false, "measure protocol v3 binary frames vs the v2 line protocol under a session swarm")
-	swarmSessions := flag.Int("swarm-sessions", 1000, "swarm: concurrent client sessions per arm")
+	swarm := flag.Bool("swarm", false, "measure the serving edge under a session swarm multiplexed over a few connections")
+	swarmSessions := flag.Int("swarm-sessions", 1000, "swarm: concurrent client sessions")
 	swarmConns := flag.Int("swarm-conns", 64, "swarm: TCP connections the sessions share")
-	swarmSecs := flag.Float64("swarm-secs", 5.0, "swarm: seconds per measured arm")
+	swarmSecs := flag.Float64("swarm-secs", 5.0, "swarm: seconds measured")
 	swarmTenantSecs := flag.Float64("swarm-tenant-secs", 3.0, "swarm: seconds per noisy-tenant isolation arm (0 = skip the tenant arms)")
 	swarmJSON := flag.String("swarm-json", "BENCH_swarm.json", "swarm: file for the JSON result (empty = don't write)")
 	replicate := flag.Bool("replicate", false, "measure hedged vs unhedged cluster reads on a replicated group with one slow follower")

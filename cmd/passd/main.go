@@ -1,9 +1,9 @@
 // Command passd runs the PASSv2 provenance daemon: it serves PQL queries
-// to many concurrent clients over the line-oriented JSON protocol in
+// to many concurrent clients over the framed wire protocol in
 // DESIGN.md §7/§9. Every query runs on an immutable snapshot of the
 // database, so readers never block ingestion or each other.
 //
-// With protocol v2 the daemon is also a remote DPAPI layer (§5.2):
+// The daemon is also a remote DPAPI layer (§5.2):
 // clients create phantom objects (mkobj), disclose provenance against
 // them (write — durably acknowledged, pipelinable via batch), freeze
 // them, and revive them across reconnects and daemon restarts. Anything
@@ -15,7 +15,7 @@
 // written with Machine.SaveDB or waldo.DB.Save), the built-in demo
 // database (-demo), or a provenance log directory on the local file
 // system (-logdir), which the daemon tails continuously and extends via
-// the protocol's "append" verb.
+// the protocol's "write" verb.
 //
 // With -checkpoint-dir the daemon is crash-durable: a background
 // checkpointer persists atomic generations (database snapshot + log tail

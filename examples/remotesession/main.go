@@ -1,5 +1,5 @@
 // Remotesession replays the paper's §6.5 browser scenario against a
-// remote provenance daemon, over the protocol-v2 DPAPI:
+// remote provenance daemon, over the wire DPAPI:
 //
 //  1. pass_mkobj a phantom SESSION object on the daemon — the browser
 //     session exists at the application layer, with no file beneath it;
@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("negotiated protocol v%d; daemon phantom volume %#x\n", v, vol)
+	fmt.Printf("protocol v%d; daemon phantom volume %#x\n", v, vol)
 
 	session, err := c.PassMkobj()
 	if err != nil {

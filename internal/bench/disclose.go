@@ -15,7 +15,7 @@ import (
 	"passv2/internal/waldo"
 )
 
-// DiscloseResult reports remote disclosure throughput over protocol v2:
+// DiscloseResult reports remote disclosure throughput:
 // one DPAPI write per round-trip (each paying a network round-trip and a
 // durable acknowledgment) versus the same records pipelined in batches
 // (one round-trip and one fsync per batch). The multiplier is the whole

@@ -179,7 +179,7 @@ func Replicate(records, queries int, slowDelay, hedgeDelay time.Duration) (Repli
 				record.New(ref, record.AttrName, record.StringVal(fmt.Sprintf("/bench/%d", i))),
 				record.New(ref, record.AttrType, record.StringVal(record.TypeFile)))
 		}
-		if _, err := c.Append(recs); err != nil {
+		if err := c.AppendProvenance(recs); err != nil {
 			return res, err
 		}
 	}

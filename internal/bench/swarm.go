@@ -22,39 +22,25 @@ const swarmQueryMix = 8
 
 // swarmBatch is how many provenance records one disclosure carries: the
 // bundle size a busy provenance-aware application accumulates between
-// flushes, big enough that encoding cost (the thing protocol v3 attacks)
-// dominates the round-trip.
+// flushes, big enough that encoding cost dominates the round-trip.
 const swarmBatch = 256
 
-// SwarmArm is one protocol's side of the swarm comparison.
-type SwarmArm struct {
-	Version int     `json:"version"`  // protocol the clients negotiated
-	Ops     int64   `json:"ops"`      // total operations completed
-	Queries int64   `json:"queries"`  // queries among them
-	QPS     float64 `json:"qps"`      // queries/sec
-	Records int64   `json:"records"`  // provenance records disclosed
-	RecPS   float64 `json:"rec_ps"`   // records/sec
-	Shed    int64   `json:"shed"`     // requests refused by backpressure
-	V3Conns int64   `json:"v3_conns"` // connections the server saw as v3 (sanity check)
-}
-
-// SwarmResult reports the swarm load benchmark: the same session swarm —
-// mixed DPAPI disclosure and ancestry queries — driven through one passd
-// daemon over the line-oriented v2 protocol and over v3's multiplexed
-// binary frames, with the same number of TCP connections in both arms so
-// the only variable is what the protocol lets each connection carry.
+// SwarmResult reports the swarm load benchmark: a session swarm — mixed
+// DPAPI disclosure and ancestry queries — multiplexed over a fixed number
+// of TCP connections to one passd daemon.
 type SwarmResult struct {
-	Sessions int     `json:"sessions"` // concurrent client sessions per arm
+	Sessions int     `json:"sessions"` // concurrent client sessions
 	Conns    int     `json:"conns"`    // TCP connections the sessions share
 	Batch    int     `json:"batch"`    // records per disclosure
-	Secs     float64 `json:"secs"`     // measured duration per arm
+	Secs     float64 `json:"secs"`     // measured duration
 	Dataset  int     `json:"dataset"`  // records in the queried chain before the run
 
-	V2 SwarmArm `json:"v2"`
-	V3 SwarmArm `json:"v3"`
-
-	QPSMultiplier   float64 `json:"qps_multiplier"`   // V3.QPS / V2.QPS
-	RecPSMultiplier float64 `json:"recps_multiplier"` // V3.RecPS / V2.RecPS
+	Ops     int64   `json:"ops"`     // total operations completed
+	Queries int64   `json:"queries"` // queries among them
+	QPS     float64 `json:"qps"`     // queries/sec
+	Records int64   `json:"records"` // provenance records disclosed
+	RecPS   float64 `json:"rec_ps"`  // records/sec
+	Shed    int64   `json:"shed"`    // requests refused by backpressure
 
 	// Tenant carries the noisy-tenant isolation arms (tenant.go) when the
 	// run asked for them; nil otherwise.
@@ -63,8 +49,8 @@ type SwarmResult struct {
 
 // swarmSessionRecords builds the reusable disclosure batch for one
 // session: swarmBatch records under session-private pnodes, disjoint from
-// the queried dataset and from every other session, so arms never contend
-// on object identity and query results stay stable.
+// the queried dataset and from every other session, so sessions never
+// contend on object identity and query results stay stable.
 func swarmSessionRecords(session int) []record.Record {
 	base := uint64(1<<41) + uint64(session)<<16
 	recs := make([]record.Record, 0, swarmBatch)
@@ -77,57 +63,84 @@ func swarmSessionRecords(session int) []record.Record {
 	return recs
 }
 
-// swarmArm runs one protocol arm: a fresh daemon over a fresh copy of the
-// dataset (arms must not inherit each other's appended records), conns
-// clients pinned to maxVersion, and sessions goroutines dealing their
-// operations — three disclosures, then a query — across those clients
-// round-robin until the deadline.
-func swarmArm(maxVersion int, sessions, conns int, secs float64, queries []string, expected []string) (SwarmArm, error) {
-	arm := SwarmArm{}
+// swarmDataset builds the queried chain and the sessions' query mix:
+// name-seek point queries, deliberately cheap to evaluate (an index seek,
+// one row back), so the run is bound by what the wire and codec cost —
+// the thing under test — rather than by query evaluation CPU. The serve
+// benchmark already measures evaluation-bound load.
+func swarmDataset() (*waldo.DB, []string) {
+	db, _ := ServeDataset(4096)
+	queries := make([]string, swarmQueryMix)
+	for i := range queries {
+		queries[i] = fmt.Sprintf(`select F from Provenance.file as F where F.name = "/q/c%d"`, 4096-i)
+	}
+	return db, queries
+}
 
-	db, _ := swarmDataset()
+// Swarm measures the serving edge under a session swarm: `sessions`
+// concurrent sessions of mixed DPAPI disclosure (swarmBatch-record
+// bundles) and ancestry queries — three disclosures, then a query — share
+// `conns` TCP connections to one daemon round-robin for `secs` seconds,
+// after remote results are verified against local evaluation.
+// A positive tenantSecs additionally runs the noisy-tenant isolation arms
+// (tenant.go) for that long each.
+func Swarm(sessions, conns int, secs, tenantSecs float64) (SwarmResult, error) {
+	res := SwarmResult{Sessions: sessions, Conns: conns, Batch: swarmBatch, Secs: secs}
+
+	db, queries := swarmDataset()
+	n, _, _ := db.Stats()
+	res.Dataset = int(n)
+	g := graph.New(db)
+	expected := make([]string, len(queries))
+	for i, src := range queries {
+		q, err := pql.Parse(src)
+		if err != nil {
+			return res, err
+		}
+		out, err := pql.PlanQuery(q).Execute(g)
+		if err != nil {
+			return res, err
+		}
+		expected[i] = out.Format()
+	}
+
 	w := waldo.New()
 	w.DB = db
 	// Disclosures land in an accounting sink, not the database: profiled
-	// with real ApplyBatch, both arms bottleneck on index maintenance
-	// (~55% of one core) and the protocols measure as storage. The swarm
-	// benchmark's question is what the serving edge — read, decode,
-	// dispatch, encode, write — can carry, so the storage back-end is the
-	// one thing taken off the scale. Queries still read the real
-	// database, and the ingest benchmark prices ApplyBatch itself.
+	// with real ApplyBatch, the run bottlenecks on index maintenance (~55%
+	// of one core) and measures storage. The swarm benchmark's question is
+	// what the serving edge — read, decode, dispatch, encode, write — can
+	// carry, so the storage back-end is the one thing taken off the scale.
+	// Queries still read the real database, and the ingest benchmark
+	// prices ApplyBatch itself.
 	var sunk atomic.Int64
 	srv, err := passd.Serve(w, passd.Config{
 		Append: func(recs []record.Record) error { sunk.Add(int64(len(recs))); return nil },
 	})
 	if err != nil {
-		return arm, err
+		return res, err
 	}
 	defer srv.Close()
 
 	clients := make([]*passd.Client, conns)
 	for i := range clients {
-		c, err := passd.DialOptions(srv.Addr(), passd.Options{MaxVersion: maxVersion})
+		c, err := passd.Dial(srv.Addr())
 		if err != nil {
-			return arm, err
+			return res, err
 		}
 		defer c.Close()
 		clients[i] = c
 	}
-	v, _, err := clients[0].Hello()
-	if err != nil {
-		return arm, err
-	}
-	arm.Version = v
 
-	// Equivalence before timing: the arm's transport must return results
+	// Equivalence before timing: the transport must return results
 	// byte-identical to quiesced local evaluation.
 	for i, q := range queries {
-		res, err := clients[0].Query(q)
+		out, err := clients[0].Query(q)
 		if err != nil {
-			return arm, err
+			return res, err
 		}
-		if res.Format() != expected[i] {
-			return arm, fmt.Errorf("v%d remote result for %q differs from local evaluation", v, q)
+		if out.Format() != expected[i] {
+			return res, fmt.Errorf("remote result for %q differs from local evaluation", q)
 		}
 	}
 
@@ -155,7 +168,7 @@ func swarmArm(maxVersion int, sessions, conns int, secs float64, queries []strin
 				if err != nil {
 					// Backpressure is the daemon doing its job under a
 					// thousand sessions; a refused request is backed off
-					// and not counted. Anything else fails the arm.
+					// and not counted. Anything else fails the run.
 					if !errors.Is(err, passd.ErrOverloaded) {
 						firstErr.CompareAndSwap(nil, err)
 						return
@@ -169,95 +182,27 @@ func swarmArm(maxVersion int, sessions, conns int, secs float64, queries []strin
 	}
 	wg.Wait()
 	if err, _ := firstErr.Load().(error); err != nil {
-		return arm, err
+		return res, err
 	}
 
 	st, err := clients[0].Stats()
 	if err != nil {
-		return arm, err
+		return res, err
 	}
 	if sunk.Load() < recs.Load() {
-		return arm, fmt.Errorf("v%d arm: clients counted %d disclosed records but the daemon accepted %d",
-			arm.Version, recs.Load(), sunk.Load())
+		return res, fmt.Errorf("clients counted %d disclosed records but the daemon accepted %d",
+			recs.Load(), sunk.Load())
 	}
-	arm.Ops = ops.Load()
-	arm.Queries = qs.Load()
-	arm.QPS = float64(arm.Queries) / secs
-	arm.Records = recs.Load()
-	arm.RecPS = float64(arm.Records) / secs
-	arm.Shed = st.Shed
-	arm.V3Conns = st.V3Conns
-	return arm, nil
-}
+	if st.V3Conns != int64(conns) {
+		return res, fmt.Errorf("server saw %d framed connections, want %d", st.V3Conns, conns)
+	}
+	res.Ops = ops.Load()
+	res.Queries = qs.Load()
+	res.QPS = float64(res.Queries) / secs
+	res.Records = recs.Load()
+	res.RecPS = float64(res.Records) / secs
+	res.Shed = st.Shed
 
-// swarmDataset builds the queried chain and the sessions' query mix:
-// name-seek point queries, deliberately cheap to evaluate (an index seek,
-// one row back), so both arms are bound by what the wire and codec cost —
-// the thing under test — rather than by query evaluation CPU. The serve
-// benchmark already measures evaluation-bound load.
-func swarmDataset() (*waldo.DB, []string) {
-	db, _ := ServeDataset(4096)
-	queries := make([]string, swarmQueryMix)
-	for i := range queries {
-		queries[i] = fmt.Sprintf(`select F from Provenance.file as F where F.name = "/q/c%d"`, 4096-i)
-	}
-	return db, queries
-}
-
-// Swarm measures what protocol v3 buys under a session swarm: `sessions`
-// concurrent sessions of mixed DPAPI disclosure (swarmBatch-record
-// bundles) and ancestry queries share `conns` TCP connections to one
-// daemon. Pinned to v2, each connection is a serialized line protocol —
-// one request in flight, everything JSON — so sessions queue behind each
-// other's round-trips. On v3 the same connections multiplex every
-// session's requests as binary frames. Both arms run against fresh,
-// identical daemons for `secs` seconds, after remote results are verified
-// against local evaluation.
-// A positive tenantSecs additionally runs the noisy-tenant isolation arms
-// (tenant.go) for that long each.
-func Swarm(sessions, conns int, secs, tenantSecs float64) (SwarmResult, error) {
-	res := SwarmResult{Sessions: sessions, Conns: conns, Batch: swarmBatch, Secs: secs}
-
-	db, queries := swarmDataset()
-	n, _, _ := db.Stats()
-	res.Dataset = int(n)
-	g := graph.New(db)
-	expected := make([]string, len(queries))
-	for i, src := range queries {
-		q, err := pql.Parse(src)
-		if err != nil {
-			return res, err
-		}
-		out, err := pql.PlanQuery(q).Execute(g)
-		if err != nil {
-			return res, err
-		}
-		expected[i] = out.Format()
-	}
-
-	v2, err := swarmArm(2, sessions, conns, secs, queries, expected)
-	if err != nil {
-		return res, fmt.Errorf("v2 arm: %w", err)
-	}
-	res.V2 = v2
-	v3, err := swarmArm(passd.ProtocolVersion, sessions, conns, secs, queries, expected)
-	if err != nil {
-		return res, fmt.Errorf("v3 arm: %w", err)
-	}
-	res.V3 = v3
-
-	if v2.Version != 2 || v3.Version < 3 {
-		return res, fmt.Errorf("negotiation went sideways: arms got v%d and v%d", v2.Version, v3.Version)
-	}
-	if v3.V3Conns != int64(conns) {
-		return res, fmt.Errorf("v3 arm: server saw %d v3 connections, want %d", v3.V3Conns, conns)
-	}
-	if v2.QPS > 0 {
-		res.QPSMultiplier = v3.QPS / v2.QPS
-	}
-	if v2.RecPS > 0 {
-		res.RecPSMultiplier = v3.RecPS / v2.RecPS
-	}
 	if tenantSecs > 0 {
 		ti, err := tenantIsolation(tenantSecs, queries)
 		if err != nil {
@@ -268,17 +213,11 @@ func Swarm(sessions, conns int, secs, tenantSecs float64) (SwarmResult, error) {
 	return res, nil
 }
 
-// PrintSwarm renders the swarm comparison.
+// PrintSwarm renders the swarm result.
 func PrintSwarm(w io.Writer, r SwarmResult) {
-	fmt.Fprintf(w, "\nSwarm load: %d sessions over %d connections, %d-record disclosures, %.1fs per arm (dataset %d records)\n",
+	fmt.Fprintf(w, "\nSwarm load: %d sessions over %d connections, %d-record disclosures, %.1fs (dataset %d records)\n",
 		r.Sessions, r.Conns, r.Batch, r.Secs, r.Dataset)
-	row := func(name string, a SwarmArm) {
-		fmt.Fprintf(w, "  %-22s %9.0f q/s %12.0f rec/s   (%d ops, shed %d)\n",
-			fmt.Sprintf("%s (v%d):", name, a.Version), a.QPS, a.RecPS, a.Ops, a.Shed)
-	}
-	row("line protocol", r.V2)
-	row("binary frames", r.V3)
-	fmt.Fprintf(w, "  multiplier:            %9.2fx q/s %11.2fx rec/s\n", r.QPSMultiplier, r.RecPSMultiplier)
+	fmt.Fprintf(w, "  %9.0f q/s %12.0f rec/s   (%d ops, shed %d)\n", r.QPS, r.RecPS, r.Ops, r.Shed)
 	if r.Tenant != nil {
 		PrintTenantIsolation(w, r.Tenant)
 	}

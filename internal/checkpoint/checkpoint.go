@@ -57,17 +57,13 @@ import (
 	"passv2/internal/waldo"
 )
 
-// metaMagicV1 headed manifests before delta generations existed; those
-// stores still decode (every v1 generation is a full one).
-var metaMagicV1 = []byte("PASSCKPT1\n")
-
 // metaMagic heads manifests without signed root proofs — still the
 // format written when no signer is configured, so a v2 store stays
 // byte-identical under a daemon that never enables tamper evidence.
 var metaMagic = []byte("PASSCKPT2\n")
 
 // metaMagicV3 heads manifests carrying signed MMR root proofs
-// (DESIGN.md §13). v1 and v2 manifests still decode.
+// (DESIGN.md §13). Proofless v2 manifests still decode.
 var metaMagicV3 = []byte("PASSCKPT3\n")
 
 // ErrBadManifest reports an unreadable or corrupt manifest.
@@ -192,16 +188,13 @@ func encodeManifest(m *Manifest) []byte {
 }
 
 // decodeManifest parses and validates a manifest file image, accepting
-// the proof-bearing v3 format, the proofless v2 format, and the pre-delta
-// v1 layout.
+// the proof-bearing v3 format and the proofless v2 format.
 func decodeManifest(data []byte) (*Manifest, error) {
 	if len(data) < len(metaMagic)+4 {
 		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrBadManifest, len(data))
 	}
-	var v1, v3 bool
+	var v3 bool
 	switch string(data[:len(metaMagic)]) {
-	case string(metaMagicV1):
-		v1 = true
 	case string(metaMagic):
 	case string(metaMagicV3):
 		v3 = true
@@ -214,10 +207,8 @@ func decodeManifest(data []byte) (*Manifest, error) {
 	}
 	d := &mdecoder{buf: body, off: len(metaMagic)}
 	m := &Manifest{Gen: int64(d.u64())}
-	if !v1 {
-		m.Kind = Kind(d.u8())
-		m.BaseGen = int64(d.u64())
-	}
+	m.Kind = Kind(d.u8())
+	m.BaseGen = int64(d.u64())
 	m.Records = int64(d.u64())
 	m.ProvBytes = int64(d.u64())
 	m.IdxBytes = int64(d.u64())

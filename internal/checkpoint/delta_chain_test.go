@@ -538,36 +538,41 @@ func TestCorruptDeltaChains(t *testing.T) {
 	})
 }
 
-// TestManifestV1Compat pins backward compatibility: a store written
-// before delta generations (v1 manifests) must still recover. The v1
-// image is synthesized by re-encoding a current manifest in the old
-// layout.
-func TestManifestV1Compat(t *testing.T) {
+// TestManifestV1Refused pins that the pre-delta v1 manifest layout is no
+// longer read: a well-formed v1 image (synthesized by re-encoding the
+// newest generation's manifest in the old layout) decodes to
+// ErrBadManifest, and recovery skips that generation with class
+// "manifest" and falls back to the older one.
+func TestManifestV1Refused(t *testing.T) {
 	ckfs := vfs.NewMemFS("ck", nil)
 	lower, store, want := buildTwoGens(t, ckfs)
 	gens, err := store.Generations()
 	if err != nil || len(gens) != 2 {
 		t.Fatalf("generations: %v, %v", gens, err)
 	}
-	for _, gen := range gens {
-		data, err := vfs.ReadFile(ckfs, genPath(gen, "meta"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := decodeManifest(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vfs.WriteFile(ckfs, genPath(gen, "meta"), encodeManifestV1(m)); err != nil {
-			t.Fatal(err)
-		}
+	data, err := vfs.ReadFile(ckfs, genPath(gens[0], "meta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := encodeManifestV1(m)
+	if _, err := decodeManifest(v1); !errors.Is(err, ErrBadManifest) {
+		t.Fatalf("v1 manifest decoded: %v, want ErrBadManifest", err)
+	}
+	if err := vfs.WriteFile(ckfs, genPath(gens[0], "meta"), v1); err != nil {
+		t.Fatal(err)
 	}
 	rec, db := recoverAndReplay(t, store, lower)
-	if rec.DB == nil || rec.Gen != gens[0] || len(rec.Skipped) != 0 {
-		t.Fatalf("v1 store: recovered gen %d, skipped %v", rec.Gen, rec.Skipped)
+	if rec.DB == nil || rec.Gen != gens[1] || len(rec.Skipped) != 1 ||
+		rec.Skipped[0].Gen != gens[0] || rec.Skipped[0].Class != SkipManifest {
+		t.Fatalf("v1 newest manifest: recovered gen %d, skipped %v; want gen %d with gen %d skipped as %q",
+			rec.Gen, rec.Skipped, gens[1], gens[0], SkipManifest)
 	}
 	if got := dbBytes(t, db); !bytes.Equal(got, want) {
-		t.Fatal("v1-manifest recovery diverged from the live database")
+		t.Fatal("recovery past the v1 manifest diverged from the live database")
 	}
 }
 
@@ -679,7 +684,7 @@ func encodeManifestV1(m *Manifest) []byte {
 	}
 	v2 := encodeManifest(m)
 	body := v2[:len(v2)-4]
-	out := append([]byte(nil), metaMagicV1...)
+	out := []byte("PASSCKPT1\n")
 	out = append(out, body[len(metaMagic):len(metaMagic)+8]...)
 	out = append(out, body[len(metaMagic)+8+1+8:]...)
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))

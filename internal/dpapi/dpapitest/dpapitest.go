@@ -141,7 +141,11 @@ func testFreezeMonotonic(t *testing.T, obj Object) {
 
 func testProvenanceOnlyWrite(t *testing.T, obj Object) {
 	dep := pnode.Ref{PNode: 0xFFFF000000000123, Version: 1}
-	n, err := obj.PassWrite(nil, 0, record.NewBundle(record.Input(obj.Ref(), dep)))
+	// The bundle carries a byte-valued record too: every value kind the
+	// record codec has must disclose through every layer, remote included.
+	n, err := obj.PassWrite(nil, 0, record.NewBundle(
+		record.Input(obj.Ref(), dep),
+		record.New(obj.Ref(), record.AttrParams, record.Bytes([]byte{0x00, 0xff, 'p'}))))
 	if err != nil {
 		t.Fatal(err)
 	}

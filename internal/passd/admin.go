@@ -58,7 +58,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// Pre-create every lane child so the families export all lanes from
 	// the first scrape — a dashboard should never have to guess whether a
 	// missing series means zero or not-yet-created.
-	for _, lane := range []string{laneLine, laneSerial, laneConcurrent} {
+	for _, lane := range []string{laneSerial, laneConcurrent} {
 		m.inflight.With(lane)
 	}
 	for _, lane := range []string{laneQueue, laneConn} {
@@ -90,7 +90,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("passd_conns", "Open client connections.", func() float64 {
 		return float64(s.ConnCount())
 	})
-	r.GaugeFunc("passd_v3_conns", "Connections upgraded to binary framing.", func() float64 {
+	r.GaugeFunc("passd_v3_conns", "Connections past hello, speaking binary frames.", func() float64 {
 		return float64(s.v3Conns.Load())
 	})
 	r.GaugeFunc("passd_workers", "Configured worker-pool size.", func() float64 {

@@ -60,8 +60,8 @@ func TestServerCheckpointVerb(t *testing.T) {
 	for i := 1; i <= 500; i++ {
 		batch = append(batch, nameRec(i))
 	}
-	if n, err := c.Append(batch); err != nil || n != 500 {
-		t.Fatalf("append: %d, %v", n, err)
+	if err := c.AppendProvenance(batch); err != nil {
+		t.Fatalf("append: %v", err)
 	}
 	if _, err := c.Drain(); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestServerCheckpointVerb(t *testing.T) {
 	for i := 501; i <= 570; i++ {
 		batch = append(batch, nameRec(i))
 	}
-	if _, err := c.Append(batch); err != nil {
+	if err := c.AppendProvenance(batch); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats()
@@ -184,16 +184,13 @@ func TestServerBackgroundCheckpointer(t *testing.T) {
 	}
 }
 
-// TestServerVerbsDisabled pins the error contract when no store or append
-// hook is configured.
+// TestServerVerbsDisabled pins the error contract when no checkpoint
+// store is configured.
 func TestServerVerbsDisabled(t *testing.T) {
 	w, _ := testWaldo(4)
 	srv := startServer(t, w, Config{})
 	c := dialClient(t, srv)
 	if _, err := c.Checkpoint(); err == nil {
 		t.Fatal("checkpoint succeeded without a store")
-	}
-	if _, err := c.Append([]record.Record{nameRec(1)}); err == nil {
-		t.Fatal("append succeeded without a hook")
 	}
 }

@@ -5,20 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"passv2/internal/pql"
-	"passv2/internal/record"
 )
 
 // Client is one connection to a passd server. It is safe for concurrent
-// use: calls are serialized on the connection (the protocol is strict
-// request/response), so open one Client per desired in-flight query.
+// use, and concurrent calls share the connection: each rides its own
+// stream of the frame mux (mux.go), so a fast read overtakes a slow query
+// and one Client serves as many in-flight requests as the server's
+// per-connection cap admits.
 //
 // A Client is resilient by default (see Options): dials are bounded by a
 // timeout, every round-trip carries a socket deadline derived from the
@@ -41,19 +40,17 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
 
-	// mux is non-nil once hello negotiates protocol v3: the connection
-	// switches to binary frames and many requests share it concurrently,
-	// each on its own stream (see clientMux). c.mu then guards only
-	// lifecycle state (conn/hello/objs) — round-trips run outside it.
+	// mux is non-nil once the hello handshake is done: the connection
+	// speaks binary frames and many requests share it concurrently, each
+	// on its own stream (see clientMux). c.mu guards only lifecycle state
+	// (conn/mux/objs) — round-trips run outside it.
 	mux *clientMux
 
-	// Protocol negotiation, performed on every (re)connection so the
-	// client works against a restarted daemon without caller involvement.
-	helloDone bool
-	version   int
-	volume    uint16
+	// volume is what the last hello reported; the handshake is repeated on
+	// every (re)connection so the client works against a restarted daemon
+	// without caller involvement.
+	volume uint16
 
 	// objs is the revival registry: every open RemoteObject this client
 	// handed out. After a reconnect, each is re-opened by its current
@@ -84,11 +81,6 @@ type Options struct {
 	// retries; defaults 25ms and 1s. Jitter is applied on top.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// MaxVersion caps the protocol version this client offers in hello;
-	// <=0 means ProtocolVersion (prefer v3 binary framing when the
-	// server speaks it). Pinning 2 forces the line-oriented JSON
-	// protocol — the negotiation tests' and benchmark baseline's knob.
-	MaxVersion int
 	// Tenant, when non-empty, names this client's tenant on hello: every
 	// request on the connection is accounted (and, when the server
 	// configures TenantQuotas for the name, limited) under it. Over-quota
@@ -98,9 +90,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxVersion <= 0 || o.MaxVersion > ProtocolVersion {
-		o.MaxVersion = ProtocolVersion
-	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
@@ -177,16 +166,14 @@ func (c *Client) connectLocked() error {
 	}
 	c.conn = conn
 	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
-	c.helloDone = false
 	return nil
 }
 
 // dropLocked abandons a connection a transport error poisoned: the
-// request/response framing is no longer trustworthy (a torn response
-// would desynchronize every later exchange), so the next call redials.
-// On a v3 connection this also fails the mux, which delivers the error
-// to every request still waiting on the shared connection.
+// framing is no longer trustworthy (a torn response would desynchronize
+// every later exchange), so the next call redials. Failing the mux
+// delivers the error to every request still waiting on the shared
+// connection.
 func (c *Client) dropLocked() {
 	if c.mux != nil {
 		c.mux.fail(errors.New("passd: connection dropped"))
@@ -199,8 +186,8 @@ func (c *Client) dropLocked() {
 }
 
 // dropConn drops conn if it is still the client's current connection —
-// the unlocked path a v3 round-trip uses after a transport failure,
-// where another goroutine may already have reconnected.
+// the unlocked path a round-trip uses after a transport failure, where
+// another goroutine may already have reconnected.
 func (c *Client) dropConn(conn net.Conn) {
 	c.mu.Lock()
 	if c.conn == conn {
@@ -209,59 +196,39 @@ func (c *Client) dropConn(conn net.Conn) {
 	c.mu.Unlock()
 }
 
-// ensureLocked makes the connection ready: dialed, protocol negotiated,
-// and every registered object revived on it. Errors here are always
-// retryable — the caller's request has not been sent.
+// ensureLocked makes the connection ready: dialed, hello exchanged, and
+// every registered object revived on it. Errors here are always retryable
+// — the caller's request has not been sent.
 func (c *Client) ensureLocked() error {
 	if c.conn == nil {
 		if err := c.connectLocked(); err != nil {
 			return err
 		}
 	}
-	if c.helloDone {
+	if c.mux != nil {
 		return nil
 	}
-	// Hello itself is always a JSON line exchange — that is what makes
-	// negotiation backward compatible: a v2 server just answers it.
-	resp, err := c.rawLocked(&Request{Op: "hello", Version: c.opts.MaxVersion, Tenant: c.opts.Tenant}, c.opts.RequestTimeout)
+	resp, err := c.helloLocked()
 	if err != nil {
 		return err
 	}
-	if !resp.OK {
-		return wireError(resp)
-	}
-	c.version = resp.Version
-	c.volume = resp.Volume
-	c.helloDone = true
-	if c.version >= 3 {
-		// Upgrade: from here the connection speaks binary frames. Clear
-		// the sticky deadline rawLocked set — the mux reader goroutine
-		// runs deadline-free (each request is bounded by its own waiter
-		// timer), and per-write deadlines are set per send.
-		c.conn.SetDeadline(time.Time{})
-		c.mux = newClientMux(c.conn, c.br)
-	}
-	c.reviveLocked()
-	return nil
-}
-
-// exchangeLocked is one round-trip on the current connection, routed by
-// the negotiated protocol: the JSON line path, or the frame mux (safe to
-// call under c.mu — the mux's reader goroutine never takes it). Used by
-// the lifecycle exchanges (revive); regular calls go through attempt,
-// which releases c.mu before a mux round-trip.
-func (c *Client) exchangeLocked(req *Request, timeout time.Duration) (*Response, error) {
-	if c.mux != nil {
-		resp, err := c.mux.do(req, timeout)
-		if err != nil {
-			if isTransportErr(err) {
-				c.dropLocked()
-			}
-			return nil, err
+	if !resp.OK || resp.Version != ProtocolVersion {
+		// A refused hello is the last thing the server says on this
+		// connection; the next attempt redials.
+		c.dropLocked()
+		if !resp.OK {
+			return wireError(resp)
 		}
-		return resp, nil
+		return fmt.Errorf("passd: server answered hello with protocol v%d, this client speaks v%d", resp.Version, ProtocolVersion)
 	}
-	return c.rawLocked(req, timeout)
+	c.volume = resp.Volume
+	// From here the connection speaks binary frames. Clear the sticky
+	// deadline helloLocked set — the mux reader goroutine runs
+	// deadline-free (each request is bounded by its own waiter timer), and
+	// per-write deadlines are set per send.
+	c.conn.SetDeadline(time.Time{})
+	c.mux = newClientMux(c.conn, c.br)
+	return c.reviveLocked()
 }
 
 func isTransportErr(err error) bool {
@@ -274,8 +241,11 @@ func isTransportErr(err error) bool {
 // their provenance live in the server registry under stable (pnode,
 // version) identities, so a reconnect revives them transparently. A
 // revival failure is parked on the object — its next use reports it —
-// rather than failing whatever unrelated call triggered the reconnect.
-func (c *Client) reviveLocked() {
+// rather than failing whatever unrelated call triggered the reconnect;
+// only the new connection dying under the revivals is returned, so the
+// caller retries on another. The round-trips are safe under c.mu: the
+// mux's reader goroutine never takes it.
+func (c *Client) reviveLocked() error {
 	for o := range c.objs {
 		o.mu.Lock()
 		if o.closed {
@@ -284,7 +254,7 @@ func (c *Client) reviveLocked() {
 		}
 		ref := o.ref
 		o.mu.Unlock()
-		resp, err := c.exchangeLocked(&Request{Op: "revive", P: uint64(ref.PNode), Ver: uint32(ref.Version)}, c.opts.RequestTimeout)
+		resp, err := c.mux.do(&Request{Op: "revive", P: uint64(ref.PNode), Ver: uint32(ref.Version)}, c.opts.RequestTimeout)
 		if err == nil && !resp.OK {
 			err = wireError(resp)
 		}
@@ -295,57 +265,42 @@ func (c *Client) reviveLocked() {
 			o.handle, o.reviveErr = resp.Handle, nil
 		}
 		o.mu.Unlock()
-		if err != nil && c.conn == nil {
-			return // the reconnect itself died; later calls retry
+		if isTransportErr(err) {
+			c.dropLocked()
+			return err
 		}
 	}
+	return nil
 }
 
-// rawLocked performs one wire exchange on the current connection under a
-// socket deadline. Requires c.mu. Transport failures drop the connection
-// and return a transportError; wire-level failures return the decoded
+// helloLocked is the handshake: the one JSON line each way that opens a
+// connection, under a socket deadline so a server that hangs — or a
+// network that partitions mid-exchange — surfaces as a timeout instead of
+// blocking the caller forever. Requires c.mu. Transport failures drop the
+// connection and return a transportError; a refusal returns the decoded
 // response with resp.OK false and a nil error.
-func (c *Client) rawLocked(req *Request, timeout time.Duration) (*Response, error) {
-	b, err := json.Marshal(req)
+func (c *Client) helloLocked() (*Response, error) {
+	fail := func(err error) (*Response, error) {
+		c.dropLocked()
+		return nil, &transportError{err}
+	}
+	b, err := json.Marshal(&Request{Op: "hello", Version: ProtocolVersion, Tenant: c.opts.Tenant})
 	if err != nil {
 		return nil, err
 	}
-	if len(b) > maxRequestWireBytes {
-		return nil, fmt.Errorf("%w: request encodes to %d bytes, over the %d-byte wire line limit; split the bundle",
-			ErrTooLarge, len(b), maxRequestWireBytes)
+	if err := c.conn.SetDeadline(time.Now().Add(c.opts.RequestTimeout)); err != nil {
+		return fail(err)
 	}
-	// The whole exchange runs under one deadline: a server that hangs —
-	// or a network that partitions mid-exchange — surfaces as a timeout
-	// here instead of blocking the caller forever (the old behavior
-	// enforced TimeoutMS server-side only).
-	if err := c.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		c.dropLocked()
-		return nil, &transportError{err}
+	if _, err := c.conn.Write(append(b, '\n')); err != nil {
+		return fail(err)
 	}
-	b = append(b, '\n')
-	if _, err := c.bw.Write(b); err != nil {
-		c.dropLocked()
-		return nil, &transportError{err}
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.dropLocked()
-		return nil, &transportError{err}
-	}
-	// ReadBytes rather than a Scanner: a response line is as large as the
-	// result set (a closure query can return megabytes of rows), and a
-	// Scanner's buffer cap would wedge the connection mid-token.
-	line, err := c.br.ReadBytes('\n')
+	line, err := c.br.ReadSlice('\n')
 	if err != nil {
-		c.dropLocked()
-		if len(line) == 0 && errors.Is(err, io.EOF) {
-			return nil, &transportError{errors.New("passd: connection closed by server")}
-		}
-		return nil, &transportError{err}
+		return fail(readErr(err))
 	}
 	var resp Response
 	if err := json.Unmarshal(line, &resp); err != nil {
-		c.dropLocked()
-		return nil, &transportError{fmt.Errorf("passd: bad response: %w", err)}
+		return fail(fmt.Errorf("passd: bad response: %w", err))
 	}
 	return &resp, nil
 }
@@ -367,32 +322,15 @@ func (c *Client) deadlineFor(req *Request) time.Duration {
 	return c.opts.RequestTimeout + c.opts.DeadlineGrace
 }
 
-// idempotentOp reports whether op can be blindly re-sent after an
-// ambiguous transport failure (the request may have executed). Reads and
-// forced barriers are; record-staging writes are not — re-executing one
-// after a lost ack would disclose its records twice on the basis of a
-// guess. (Replicated appends are the engineered exception: the follower
-// log skips already-held prefixes, which is what makes the replication
-// stream safe under at-least-once delivery.)
-func idempotentOp(op string) bool {
-	switch strings.ToLower(op) {
-	case "query", "explain", "stats", "drain", "checkpoint", "ping",
-		"hello", "read", "revive", "sync",
-		"replstate", "replappend", "repljoin", "verify":
-		return true
-	}
-	return false
-}
-
 // retryable classifies one attempt's failure. An overload refusal is
 // retryable for every op: the server shed the request before executing
 // it, so nothing happened. A quorum-unavailable refusal is not — by the
 // time the primary refuses the ack it has already staged and durably
 // logged the request's records, so blindly re-sending a record-staging
 // op would disclose those records a second time; only idempotent ops
-// retry, and writers see the error and must decide. Transport failures
-// are retryable only when the op is idempotent, or when the request
-// provably never went out (dial/hello/revive failures).
+// (verbSpec.idempotent) retry, and writers see the error and must decide.
+// Transport failures are retryable only when the op is idempotent, or
+// when the request provably never went out (dial/hello/revive failures).
 func retryable(op string, err error, sent bool) bool {
 	if errors.Is(err, ErrOverloaded) {
 		return true
@@ -404,11 +342,10 @@ func retryable(op string, err error, sent bool) bool {
 		return true
 	}
 	if errors.Is(err, ErrUnavailable) {
-		return idempotentOp(op)
+		return verbFor(op).idempotent
 	}
-	var te *transportError
-	if errors.As(err, &te) {
-		return !sent || idempotentOp(op)
+	if isTransportErr(err) {
+		return !sent || verbFor(op).idempotent
 	}
 	return false
 }
@@ -444,12 +381,10 @@ func (c *Client) call(o *RemoteObject, req *Request) (*Response, error) {
 }
 
 // attempt runs one try of a request. sent reports whether the request
-// itself was handed to the transport (false for dial/negotiation
-// failures, which are therefore always safe to retry). On a v3
-// connection c.mu is released before the round-trip — the mux carries
-// many concurrent requests on the one connection, which is the whole
-// point of the framing; on v1/v2 the exchange serializes under c.mu as
-// the line protocol requires.
+// itself was handed to the transport (false for dial/hello failures,
+// which are therefore always safe to retry). c.mu is released before the
+// round-trip — the mux carries many concurrent requests on the one
+// connection, which is the whole point of the framing.
 func (c *Client) attempt(o *RemoteObject, req *Request, timeout time.Duration) (resp *Response, sent bool, err error) {
 	c.mu.Lock()
 	if err := c.ensureLocked(); err != nil {
@@ -464,22 +399,14 @@ func (c *Client) attempt(o *RemoteObject, req *Request, timeout time.Duration) (
 		}
 		req.Handle = h
 	}
-	if m := c.mux; m != nil {
-		conn := c.conn
-		c.mu.Unlock()
-		resp, err = m.do(req, timeout)
-		if err != nil {
-			if isTransportErr(err) {
-				c.dropConn(conn)
-			}
-			return nil, true, err
+	m, conn := c.mux, c.conn
+	c.mu.Unlock()
+	resp, err = m.do(req, timeout)
+	if err != nil {
+		if isTransportErr(err) {
+			c.dropConn(conn)
 		}
-	} else {
-		resp, err = c.rawLocked(req, timeout)
-		c.mu.Unlock()
-		if err != nil {
-			return nil, true, err
-		}
+		return nil, true, err
 	}
 	if !resp.OK {
 		return nil, true, wireError(resp)
@@ -567,25 +494,6 @@ func (c *Client) Checkpoint() (*CheckpointInfo, error) {
 		return nil, errors.New("passd: checkpoint response missing payload")
 	}
 	return resp.Checkpoint, nil
-}
-
-// Append durably logs provenance records on the server; when the call
-// returns, the records are in the server's write-through log and survive a
-// daemon kill. Byte-valued records are not representable on this wire.
-func (c *Client) Append(recs []record.Record) (int64, error) {
-	wire := make([]WireRecord, 0, len(recs))
-	for _, r := range recs {
-		wr, ok := encodeRecord(r)
-		if !ok {
-			return 0, fmt.Errorf("passd: record value kind %v not representable", r.Value.Kind())
-		}
-		wire = append(wire, wr)
-	}
-	resp, err := c.roundTrip(&Request{Op: "append", Records: wire, recs: recs})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Appended, nil
 }
 
 // Ping round-trips a no-op, for liveness checks.

@@ -1,6 +1,6 @@
 package passd
 
-// Client-side DPAPI: the remote half of the protocol-v2 contract. A
+// Client-side DPAPI: the remote half of the daemon's DPAPI contract. A
 // passd.Client is a dpapi.Layer and hands out RemoteObject handles that
 // are dpapi.Objects — the same six-call interface every local layer
 // exports, implemented a second time over the wire. That is the point of
@@ -26,17 +26,19 @@ var (
 	_ distributor.Sink = (*Client)(nil)
 )
 
-// Hello negotiates the protocol version with the server and returns the
-// negotiated version plus the server's phantom-object volume prefix.
-// Negotiation happens automatically on every (re)connection; calling this
-// eagerly is a cheap way to confirm the server speaks v2.
+// Hello completes the handshake if it has not happened yet and returns
+// the protocol version (always ProtocolVersion — a server offering
+// anything else fails the handshake) plus the server's phantom-object
+// volume prefix. The handshake happens automatically on every
+// (re)connection; calling this eagerly is a cheap way to confirm the
+// server is reachable and speaks this protocol.
 func (c *Client) Hello() (version int, volume uint16, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensureLocked(); err != nil {
 		return 0, 0, err
 	}
-	return c.version, c.volume, nil
+	return ProtocolVersion, c.volume, nil
 }
 
 // PassMkobj creates a phantom object on the server (dpapi.Layer). The
@@ -80,7 +82,7 @@ func (c *Client) FSName() string { return "passd(" + c.addr + ")" }
 
 // VolumeID reports the server's phantom-object volume prefix, so the
 // distributor can route by pnode space. Zero if the server is
-// unreachable or pre-v2.
+// unreachable.
 func (c *Client) VolumeID() uint16 {
 	_, vol, err := c.Hello()
 	if err != nil {
@@ -94,35 +96,30 @@ func (c *Client) VolumeID() uint16 {
 // write path (no second analyzer pass — the records were analyzed by the
 // layer that produced them).
 func (c *Client) AppendProvenance(recs []record.Record) error {
-	wire, err := encodeRecords(recs)
-	if err != nil {
+	if err := checkRecords(recs); err != nil {
 		return err
 	}
-	// recs rides along in native form: a v3 connection ships it through
-	// the binary record codec and never marshals the WireRecord slice.
-	_, err = c.roundTrip(&Request{Op: "write", Records: wire, recs: recs})
+	_, err := c.roundTrip(&Request{Op: "write", recs: recs})
 	return err
 }
 
-// encodeRecords converts records to wire form, rejecting byte-valued
-// records (not representable in the JSON line protocol).
-func encodeRecords(recs []record.Record) ([]WireRecord, error) {
-	wire := make([]WireRecord, 0, len(recs))
+// checkRecords refuses, before anything is sent or queued, a record whose
+// value has no kind: the bundle codec would put a byte on the wire that
+// the server's decoder rejects, failing the whole request.
+func checkRecords(recs []record.Record) error {
 	for _, r := range recs {
-		wr, ok := encodeRecord(r)
-		if !ok {
-			return nil, fmt.Errorf("passd: record value kind %v not representable", r.Value.Kind())
+		if !r.Value.IsValid() {
+			return fmt.Errorf("passd: record %v has an invalid value", r)
 		}
-		wire = append(wire, wr)
 	}
-	return wire, nil
+	return nil
 }
 
 // RemoteObject is a dpapi.Object whose layer is a passd daemon: the six
-// DPAPI calls become protocol-v2 round-trips. It is safe for concurrent
-// use (round-trips serialize on the owning Client). For many small
-// disclosures, queue them on a Batch instead of paying a round-trip and a
-// durable ack per record.
+// DPAPI calls become round-trips on the owning Client's connection, where
+// the server's serial lane keeps them in order. It is safe for concurrent
+// use. For many small disclosures, queue them on a Batch instead of paying
+// a round-trip and a durable ack per record.
 type RemoteObject struct {
 	c *Client
 
@@ -190,16 +187,14 @@ func (o *RemoteObject) PassRead(p []byte, off int64) (int, pnode.Ref, error) {
 // acknowledges only after the records are committed durably (WAP order:
 // records before data, ack after the sync barrier).
 func (o *RemoteObject) PassWrite(p []byte, off int64, b *record.Bundle) (int, error) {
-	var wire []WireRecord
 	var recs []record.Record
-	var err error
 	if b != nil {
-		if wire, err = encodeRecords(b.Records); err != nil {
+		if err := checkRecords(b.Records); err != nil {
 			return 0, err
 		}
 		recs = b.Records
 	}
-	resp, err := o.c.call(o, &Request{Op: "write", Data: p, Off: off, Records: wire, recs: recs})
+	resp, err := o.c.call(o, &Request{Op: "write", Data: p, Off: off, recs: recs})
 	if err != nil {
 		return 0, err
 	}
@@ -243,8 +238,7 @@ func (o *RemoteObject) Close() error {
 		return nil // never held a live handle on the current connection
 	}
 	_, err := o.c.roundTrip(&Request{Op: "close", Handle: h})
-	var te *transportError
-	if errors.As(err, &te) {
+	if isTransportErr(err) {
 		return nil
 	}
 	return err
@@ -276,17 +270,14 @@ func (b *Batch) Write(obj *RemoteObject, data []byte, off int64, recs *record.Bu
 	if err != nil {
 		return err
 	}
-	var wire []WireRecord
-	if recs != nil {
-		if wire, err = encodeRecords(recs.Records); err != nil {
-			return err
-		}
-	}
 	var raw []record.Record
 	if recs != nil {
+		if err := checkRecords(recs.Records); err != nil {
+			return err
+		}
 		raw = recs.Records
 	}
-	b.ops = append(b.ops, Request{Op: "write", Handle: h, Data: data, Off: off, Records: wire, recs: raw})
+	b.ops = append(b.ops, Request{Op: "write", Handle: h, Data: data, Off: off, recs: raw})
 	b.objs = append(b.objs, obj)
 	return nil
 }
@@ -297,17 +288,6 @@ func (b *Batch) Disclose(obj *RemoteObject, recs ...record.Record) error {
 		return nil
 	}
 	return b.Write(obj, nil, 0, record.NewBundle(recs...))
-}
-
-// Append queues a handle-less disclose of already-analyzed records.
-func (b *Batch) Append(recs []record.Record) error {
-	wire, err := encodeRecords(recs)
-	if err != nil {
-		return err
-	}
-	b.ops = append(b.ops, Request{Op: "write", Records: wire, recs: recs})
-	b.objs = append(b.objs, nil)
-	return nil
 }
 
 // Freeze queues a pass_freeze of obj.
@@ -321,28 +301,24 @@ func (b *Batch) Freeze(obj *RemoteObject) error {
 	return nil
 }
 
-// maxBatchWireBytes bounds the encoded size of one batch request so it
-// stays inside the server's per-line read budget (the connection handler
-// caps lines at 4 MiB). Flush transparently splits a larger pipeline
-// into several requests — per-op durability is unchanged, only the
-// amortization granularity: each request is still one round-trip and
-// one durable ack for everything it carries.
+// maxBatchWireBytes bounds the estimated size of one batch request, an
+// eighth of the server's frame budget (maxFramePayload) so approxWireSize
+// being an estimate never turns into a toolarge refusal. Flush
+// transparently splits a larger pipeline into several requests — per-op
+// durability is unchanged, only the amortization granularity: each
+// request is still one round-trip and one durable ack for everything it
+// carries. A single op over the frame budget is refused client-side with
+// ErrTooLarge and must be split by the caller.
 const maxBatchWireBytes = 2 << 20
-
-// maxRequestWireBytes rejects any single request whose encoded line
-// would overflow the server's read budget: the server could only answer
-// it by tearing down the connection, so failing client-side with a real
-// error is strictly better. Batches split themselves under this; a
-// single op this large (an enormous record bundle) must be split by the
-// caller.
-const maxRequestWireBytes = 3 << 20
 
 // approxWireSize conservatively estimates one op's encoded footprint.
 func approxWireSize(r *Request) int {
 	n := 96 + len(r.Data)*4/3
-	for i := range r.Records {
-		wr := &r.Records[i]
-		n += 64 + len(wr.Attr) + len(wr.Val.S) + len(wr.Val.N)
+	for i := range r.recs {
+		rec := &r.recs[i]
+		s, _ := rec.Value.AsString()
+		b, _ := rec.Value.AsBytes()
+		n += 64 + len(rec.Attr) + len(s) + len(b)
 	}
 	return n
 }

@@ -31,30 +31,9 @@ func TestRemoteConformance(t *testing.T) {
 	})
 }
 
-// TestRemoteConformanceV2 runs the same harness with the client pinned to
-// protocol v2, so the JSON line transport keeps passing the full DPAPI
-// conformance surface even though new clients prefer v3 frames.
-func TestRemoteConformanceV2(t *testing.T) {
-	dpapitest.RunLayers(t, []dpapitest.LayerImpl{
-		{
-			Name: "passd-remote-v2",
-			New: func(t *testing.T) (dpapi.Layer, func()) {
-				srv := startServer(t, waldo.New(), Config{})
-				c, err := DialOptions(srv.Addr(), Options{MaxVersion: 2})
-				if err != nil {
-					t.Fatalf("Dial: %v", err)
-				}
-				t.Cleanup(func() { c.Close() })
-				return c, func() {}
-			},
-		},
-	})
-}
-
-// TestHelloNegotiation pins version negotiation: the server answers with
-// min(client, server) and its phantom volume prefix; a v1-era client that
-// never sends hello keeps using v1 verbs untouched (covered throughout
-// passd_test.go).
+// TestHelloNegotiation pins the handshake's answer: the one protocol
+// version and the server's phantom volume prefix (TestHandshakeRefusals
+// covers everything a server refuses instead).
 func TestHelloNegotiation(t *testing.T) {
 	srv := startServer(t, waldo.New(), Config{})
 	c := dialClient(t, srv)
@@ -301,9 +280,7 @@ func TestRemoteReviveAcrossRestart(t *testing.T) {
 }
 
 // TestRemoteSinkAppend: the client is a distributor.Sink — handle-less
-// writes materialize already-analyzed records onto the daemon, and the
-// alias verb "append" shares the same committed counter (one durable-ack
-// path).
+// writes materialize already-analyzed records onto the daemon.
 func TestRemoteSinkAppend(t *testing.T) {
 	srv := startServer(t, waldo.New(), Config{})
 	c := dialClient(t, srv)

@@ -1,11 +1,13 @@
 package passd
 
-// Fuzz harness for the v2 JSON request envelope and the hello/negotiation
-// line: whatever JSON a client sends, the envelope must either fail to
-// parse or yield a Request the server can negotiate, re-encode onto the
-// v3 wire, and decode back without panicking or losing the scalar fields.
-// CI runs this as a short smoke (-fuzz FuzzEnvelopeDecode -fuzztime 15s)
-// alongside FuzzFrameDecode; longer local runs just work:
+// Fuzz harness for the two places JSON from outside still reaches the
+// server: the hello line a connection opens with, and the envelope
+// section of a request frame. Whatever bytes arrive, the hello parser
+// must yield exactly a v3 hello or a coded refusal, and a frame carrying
+// them as its envelope must either fail to decode or yield a Request that
+// survives the codec round-trip without panicking or losing the scalar
+// fields. CI runs this as a short smoke (-fuzz FuzzEnvelopeDecode
+// -fuzztime 15s) alongside FuzzFrameDecode; longer local runs just work:
 // go test -fuzz FuzzEnvelopeDecode ./internal/passd
 
 import (
@@ -21,24 +23,17 @@ func envelopeSeeds() []*Request {
 	return []*Request{
 		{Op: "hello", Version: ProtocolVersion, Tenant: "acct"},
 		{Op: "hello", Version: 1},
+		{Op: "hello", Version: 2, Tenant: "acct"},
 		{Op: "query", Query: `select F from Provenance.file as F where F.name = "/x"`, TimeoutMS: 50},
 		{Op: "explain", Query: "select F from Provenance.file as F"},
 		{Op: "stats"},
 		{Op: "drain"},
 		{Op: "checkpoint"},
 		{Op: "ping"},
-		{Op: "append", Records: []WireRecord{
-			{P: 9, V: 1, Attr: "NAME", Val: Value{K: "str", S: "/a"}},
-			{P: 9, V: 1, Attr: "ENV", Val: Value{K: "int", I: -3}},
-		}},
 		{Op: "mkobj", Tenant: "bulk"},
 		{Op: "revive", P: 12, Ver: 2},
 		{Op: "read", Handle: 4, Off: 100, Len: 64},
-		{Op: "write", Handle: 4, Off: -1, Data: []byte("payload"), Records: []WireRecord{
-			{P: 4, V: 1, Attr: "TYPE", Val: Value{K: "bool", B: true}},
-			{P: 4, V: 1, Attr: "X", Val: Value{K: "null"}},
-			{P: 4, V: 1, Attr: "REF", Val: Value{K: "ref", P: 2, V: 1, N: "/dep"}},
-		}},
+		{Op: "write", Handle: 4, Off: -1, Data: []byte("payload")},
 		{Op: "freeze", Handle: 4},
 		{Op: "sync", Handle: 4},
 		{Op: "close", Handle: 4},
@@ -49,7 +44,8 @@ func envelopeSeeds() []*Request {
 		}},
 		{Op: "repljoin", Addr: "127.0.0.1:9999"},
 		{Op: "replstate"},
-		{Op: "replappend", Off: 4096, Data: []byte("logchunk")},
+		{Op: "replappend", Off: 4096, Data: []byte("logchunk"), MMRSize: 7, MMRRoot: "00ff"},
+		{Op: "verify", VerifyOp: "consistency", VerifyFrom: 3, VerifyTo: 9},
 	}
 }
 
@@ -62,49 +58,51 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		f.Add(line)
 	}
 	// Hostile shapes the JSON decoder must survive: wrong types, deep
-	// nesting, absurd versions, truncated/duplicated keys.
+	// nesting, absurd versions, truncated/duplicated keys, retired fields.
 	for _, raw := range []string{
 		`{}`,
 		`{"op":""}`,
 		`{"op":"hello","v":-1}`,
-		`{"op":"hello","v":999999,"tenant":"` + strings.Repeat("t", 256) + `"}`,
+		`{"op":"HELLO","v":999999,"tenant":"` + strings.Repeat("t", 256) + `"}`,
 		`{"op":"batch","ops":[{"op":"batch","ops":[{"op":"batch"}]}]}`,
 		`{"op":"query","query":"\\u0000","timeout_ms":-5}`,
 		`{"op":"append","records":[{"p":18446744073709551615,"v":4294967295,"attr":"A","val":{"k":"zzz"}}]}`,
 		`{"op":"write","h":0,"off":-9223372036854775808,"data":"bm90IGJhc2U2NA"}`,
-		`{"op":"ping","op":"query"}`,
+		`{"op":"ping","op":"hello","v":3}`,
 	} {
 		f.Add([]byte(raw))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req Request
-		if err := json.Unmarshal(data, &req); err != nil {
+		// As a connection's opening line: a v3 hello or a coded refusal,
+		// never both, never neither.
+		hello, refusal := parseHello(data)
+		switch {
+		case (hello == nil) == (refusal == nil):
+			t.Fatalf("parseHello returned request %v and refusal %v", hello, refusal)
+		case refusal != nil:
+			if refusal.OK || refusal.Code != codeUnsupported || refusal.Error == "" {
+				t.Fatalf("refusal %+v is not a coded unsupported reply", refusal)
+			}
+		case !strings.EqualFold(hello.Op, "hello") || hello.Version < ProtocolVersion:
+			t.Fatalf("parseHello admitted %+v", hello)
+		}
+
+		// As a request frame's envelope (empty bundle, no data, no ops): a
+		// decoded envelope must survive the codec round-trip with its
+		// scalar fields intact.
+		frame := appendUvarint(nil, uint64(len(data)))
+		frame = append(append(frame, data...), 0, 0, 0)
+		req, n, err := decodeRequestPayload(frame, 0)
+		if err != nil {
 			return // rejected envelopes are the decoder doing its job
 		}
-
-		// Negotiation: for every server ceiling, the answer must land in
-		// [1, ceiling] no matter what version the envelope claimed.
-		for maxV := 1; maxV <= ProtocolVersion; maxV++ {
-			got := negotiateVersion(req.Version, maxV)
-			if got < 1 || got > maxV {
-				t.Fatalf("negotiateVersion(%d, %d) = %d, outside [1, %d]",
-					req.Version, maxV, got, maxV)
-			}
+		if n != len(frame) {
+			t.Fatalf("decode consumed %d of %d bytes", n, len(frame))
 		}
-
-		// Record decoding must never panic, whatever the value kind.
-		for _, wr := range req.Records {
-			_, _ = decodeRecord(wr)
-		}
-
-		// Re-framing: a parsed envelope must survive the v3 codec
-		// round-trip with its scalar fields intact. (Records is not
-		// asserted: the binary framing ships records natively and the
-		// payload marshaler drops the JSON form by design.)
-		buf, err := appendRequestPayload(nil, &req, 0)
+		buf, err := appendRequestPayload(nil, req, 0)
 		if err != nil {
-			return // not every envelope is representable (e.g. giant fields)
+			return // not every envelope is representable (e.g. nested ops)
 		}
 		back, n, err := decodeRequestPayload(buf, 0)
 		if err != nil {
@@ -118,10 +116,10 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			back.P != req.P || back.Ver != req.Ver ||
 			back.Off != req.Off || back.Len != req.Len ||
 			back.TimeoutMS != req.TimeoutMS || back.Addr != req.Addr {
-			t.Fatalf("scalar fields changed across the v3 round-trip:\nsent: %+v\ngot:  %+v", req, *back)
+			t.Fatalf("scalar fields changed across the codec round-trip:\nsent: %+v\ngot:  %+v", req, *back)
 		}
 		if len(back.Ops) != len(req.Ops) {
-			t.Fatalf("batch length changed across the v3 round-trip: sent %d ops, got %d",
+			t.Fatalf("batch length changed across the codec round-trip: sent %d ops, got %d",
 				len(req.Ops), len(back.Ops))
 		}
 	})

@@ -1,11 +1,10 @@
 package passd
 
-// Protocol v3: binary framing (DESIGN.md §11). After "hello" negotiates
-// version 3, both sides abandon JSON lines and exchange length-prefixed
-// frames carrying a stream ID, so one connection multiplexes many
-// in-flight requests — a slow query on stream 7 cannot head-of-line-block
-// a fast read on stream 8 — and a large result set is chunked across
-// several frames instead of marshaled into one giant line.
+// Binary framing (DESIGN.md §9). After the hello line each way, both
+// sides exchange length-prefixed frames carrying a stream ID, so one
+// connection multiplexes many in-flight requests — a slow query on stream
+// 7 cannot head-of-line-block a fast read on stream 8 — and a large result
+// set is chunked across several frames instead of marshaled whole.
 //
 // Frame layout (all integers little-endian):
 //
@@ -20,7 +19,7 @@ package passd
 // different streams may interleave freely.
 //
 // Payloads are a hybrid encoding: a small JSON "envelope" (the Request /
-// Response struct with its bulk fields stripped) followed by binary
+// Response struct minus its bulk fields, tagged json:"-") followed by binary
 // sections for exactly the fields that dominate wire volume — provenance
 // records ride internal/record's AppendBundle/DecodeBundle codec instead
 // of base64-inside-JSON, data buffers are raw bytes, and result rows are
@@ -30,14 +29,14 @@ package passd
 //
 // Request payload:
 //
-//	uvarint envLen, envLen bytes   JSON Request, Records/Data/Ops stripped
+//	uvarint envLen, envLen bytes   JSON Request, without Data/Ops
 //	record bundle                  internal/record bundle (uvarint count…)
 //	uvarint dataLen, dataLen bytes write payload
 //	uvarint nOps, nOps × payload   batch ops, same grammar (no nesting)
 //
 // Response payload (per frame; sections accumulate across MORE frames):
 //
-//	uvarint envLen, envLen bytes   JSON Response, Rows/Data/Ops stripped
+//	uvarint envLen, envLen bytes   JSON Response, without Rows/Data/Ops
 //	                               (zero on every frame after the first)
 //	uvarint nRows, nRows × row     row = uvarint nCols, nCols × value
 //	uvarint dataLen, dataLen bytes read payload
@@ -163,27 +162,6 @@ func putFrameScratch(sc *frameScratch) {
 	if cap(sc.buf) <= 1<<20 && cap(sc.tmp) <= 1<<20 {
 		frameScratchPool.Put(sc)
 	}
-}
-
-// --- envelope marshaling ---
-
-// marshalRequestEnv marshals req with its binary-section fields stripped.
-// The fields are restored before returning; the caller owns req for the
-// duration of the call.
-func marshalRequestEnv(req *Request) ([]byte, error) {
-	recs, data, ops := req.Records, req.Data, req.Ops
-	req.Records, req.Data, req.Ops = nil, nil, nil
-	b, err := json.Marshal(req)
-	req.Records, req.Data, req.Ops = recs, data, ops
-	return b, err
-}
-
-func marshalResponseEnv(resp *Response) ([]byte, error) {
-	rows, data, ops := resp.Rows, resp.Data, resp.Ops
-	resp.Rows, resp.Data, resp.Ops = nil, nil, nil
-	b, err := json.Marshal(resp)
-	resp.Rows, resp.Data, resp.Ops = rows, data, ops
-	return b, err
 }
 
 // --- varint helpers over a cursor ---
@@ -329,28 +307,6 @@ func readWireRow(buf []byte, pos int) ([]Value, int, error) {
 // (which could only come from corruption or an attacker).
 const maxOpsNesting = 1
 
-// requestBundle yields the request's records as a codec bundle: the
-// native []record.Record when the request was built client-side (recs) or
-// arrived over a binary frame, converting the JSON wire form otherwise
-// (requests constructed directly with WireRecords).
-func requestBundle(req *Request) (record.Bundle, error) {
-	if req.recs != nil {
-		return record.Bundle{Records: req.recs}, nil
-	}
-	if len(req.Records) == 0 {
-		return record.Bundle{}, nil
-	}
-	recs := make([]record.Record, 0, len(req.Records))
-	for _, wr := range req.Records {
-		r, err := decodeRecord(wr)
-		if err != nil {
-			return record.Bundle{}, err
-		}
-		recs = append(recs, r)
-	}
-	return record.Bundle{Records: recs}, nil
-}
-
 // appendRequestPayload encodes req (including batch ops, recursively)
 // onto dst. Requests are always a single frame: the client caps its own
 // batches well under maxFramePayload.
@@ -358,17 +314,13 @@ func appendRequestPayload(dst []byte, req *Request, depth int) ([]byte, error) {
 	if depth > maxOpsNesting {
 		return nil, errors.New("passd: batch ops nest too deep to encode")
 	}
-	env, err := marshalRequestEnv(req)
+	env, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
 	dst = appendUvarint(dst, uint64(len(env)))
 	dst = append(dst, env...)
-	b, err := requestBundle(req)
-	if err != nil {
-		return nil, err
-	}
-	dst = record.AppendBundle(dst, &b)
+	dst = record.AppendBundle(dst, &record.Bundle{Records: req.recs})
 	dst = appendUvarint(dst, uint64(len(req.Data)))
 	dst = append(dst, req.Data...)
 	dst = appendUvarint(dst, uint64(len(req.Ops)))
@@ -404,9 +356,6 @@ func decodeRequestPayload(buf []byte, depth int) (*Request, int, error) {
 		return nil, 0, fmt.Errorf("%w: bad record bundle: %v", errFrameCorrupt, err)
 	}
 	pos += n
-	if bundle.Records == nil {
-		bundle.Records = []record.Record{}
-	}
 	req.recs = bundle.Records
 	data, pos, err := readSection(buf, pos)
 	if err != nil {
@@ -445,7 +394,7 @@ func appendResponsePayload(dst []byte, resp *Response, depth int) ([]byte, error
 	if depth > maxOpsNesting {
 		return nil, errors.New("passd: response ops nest too deep to encode")
 	}
-	env, err := marshalResponseEnv(resp)
+	env, err := json.Marshal(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +421,7 @@ func appendResponsePayload(dst []byte, resp *Response, depth int) ([]byte, error
 // split across MORE-flagged frames; the envelope and batch op replies
 // ride the first frame only.
 func writeResponseFrames(w *bufio.Writer, stream uint32, resp *Response, sc *frameScratch) error {
-	env, err := marshalResponseEnv(resp)
+	env, err := json.Marshal(resp)
 	if err != nil {
 		return err
 	}

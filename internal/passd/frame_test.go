@@ -1,10 +1,10 @@
 package passd
 
-// Protocol v3 tests: frame codec round-trips, the hello negotiation
-// matrix (v1/v2/v3 clients × v2-only/v3 servers), multiplexing — the
-// acceptance bar that a slow request cannot head-of-line-block a fast
-// one on the same connection — chunked responses, the toolarge refusal,
-// per-connection admission control, and torn binary frames.
+// Wire protocol tests: frame codec round-trips, the handshake's refusals,
+// multiplexing — the acceptance bar that a slow request cannot
+// head-of-line-block a fast one on the same connection — chunked
+// responses, the toolarge refusal, per-connection admission control, and
+// torn binary frames.
 
 import (
 	"bufio"
@@ -12,8 +12,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,90 +174,106 @@ func TestFrameResponseChunking(t *testing.T) {
 	}
 }
 
-// TestNegotiationMatrix pins every client×server version pairing: a v3
-// client falls back to JSON lines against a v2-only server, a v2-pinned
-// client stays on JSON against a v3 server, and full v3 upgrades to
-// frames — all of them serving the same queries and disclosures.
-func TestNegotiationMatrix(t *testing.T) {
+// TestHandshakeRefusals pins what a connection may open with: exactly a
+// hello offering v3. Everything else — a v1 verb, a v1/v2 hello, garbage,
+// an over-budget line — is answered with one coded refusal and a close,
+// never a hang or a silent drop; and a JSON line where the first frame
+// should be ends the connection too. No refused connection may linger:
+// handle returns only after its lane and writer goroutines have, so the
+// connection count and the goroutine count both fall back.
+func TestHandshakeRefusals(t *testing.T) {
+	w, q := testWaldo(2)
+	srv := startServer(t, w, Config{})
+	baseline := runtime.NumGoroutine()
+
+	huge := bytes.Repeat([]byte{'x'}, maxHelloBytes+1024)
+	copy(huge, `{"op":"hello","v":3,"tenant":"`)
+	huge[len(huge)-1] = '\n'
+	v1Query, _ := json.Marshal(&Request{Op: "query", Query: q})
+
 	cases := []struct {
-		name           string
-		serverMax      int
-		clientMax      int
-		wantVersion    int
-		wantV3Conns    int64
-		wantMuxPresent bool
+		name     string
+		send     []byte
+		wantCode string
 	}{
-		{"v3-client-v2-server", 2, 0, 2, 0, false},
-		{"v2-client-v3-server", 0, 2, 2, 0, false},
-		{"v3-both", 0, 0, 3, 1, true},
+		{"no-hello", append(v1Query, '\n'), codeUnsupported},
+		{"hello-v1", []byte(`{"op":"hello","v":1}` + "\n"), codeUnsupported},
+		{"hello-v2", []byte(`{"op":"hello","v":2,"tenant":"acct"}` + "\n"), codeUnsupported},
+		{"hello-no-version", []byte(`{"op":"hello"}` + "\n"), codeUnsupported},
+		{"non-json", []byte("GET / HTTP/1.1\r\n\r\n"), codeUnsupported},
+		{"over-budget", huge, codeTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w, q := testWaldo(6)
-			srv := startServer(t, w, Config{MaxVersion: tc.serverMax})
-			c, err := DialOptions(srv.Addr(), Options{MaxVersion: tc.clientMax})
+			conn, err := net.Dial("tcp", srv.Addr())
 			if err != nil {
-				t.Fatalf("Dial: %v", err)
+				t.Fatal(err)
 			}
-			t.Cleanup(func() { c.Close() })
-			v, _, err := c.Hello()
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Write(tc.send); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			br := bufio.NewReader(conn)
+			line, err := br.ReadBytes('\n')
 			if err != nil {
-				t.Fatalf("Hello: %v", err)
+				t.Fatalf("no refusal before close: %v", err)
 			}
-			if v != tc.wantVersion {
-				t.Fatalf("negotiated v%d, want v%d", v, tc.wantVersion)
+			var resp Response
+			if err := json.Unmarshal(line, &resp); err != nil {
+				t.Fatalf("refusal %q is not a JSON reply: %v", line, err)
 			}
-			res, err := c.Query(q)
-			if err != nil {
-				t.Fatalf("query: %v", err)
+			if resp.OK || resp.Code != tc.wantCode || resp.Error == "" {
+				t.Fatalf("refusal = %+v, want code %q", resp, tc.wantCode)
 			}
-			if len(res.Rows) != 6 {
-				t.Fatalf("query returned %d rows, want 6", len(res.Rows))
-			}
-			if err := c.AppendProvenance(testRecords(4)); err != nil {
-				t.Fatalf("disclose: %v", err)
-			}
-			st, err := c.Stats()
-			if err != nil {
-				t.Fatalf("stats: %v", err)
-			}
-			if st.V3Conns != tc.wantV3Conns {
-				t.Fatalf("server reports %d v3 conns, want %d", st.V3Conns, tc.wantV3Conns)
-			}
-			c.mu.Lock()
-			gotMux := c.mux != nil
-			c.mu.Unlock()
-			if gotMux != tc.wantMuxPresent {
-				t.Fatalf("client mux present=%v, want %v", gotMux, tc.wantMuxPresent)
+			if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
+				t.Fatalf("after the refusal: %v, want the server to close", err)
 			}
 		})
 	}
-}
 
-// TestV1ClientAgainstV3Server pins raw v1 compatibility: a client that
-// never sends hello speaks bare JSON lines at a v3 server and is served
-// unchanged — the server only upgrades a connection that negotiated.
-func TestV1ClientAgainstV3Server(t *testing.T) {
-	w, q := testWaldo(3)
-	srv := startServer(t, w, Config{})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	for i := 0; i < 3; i++ {
-		if err := enc.Encode(&Request{Op: "query", Query: q}); err != nil {
-			t.Fatalf("send: %v", err)
+	t.Run("line-after-hello", func(t *testing.T) {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("recv: %v", err)
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := fmt.Fprintf(conn, `{"op":"hello","v":3}`+"\n"+`{"op":"ping"}`+"\n"); err != nil {
+			t.Fatal(err)
 		}
-		if !resp.OK || len(resp.Rows) != 3 {
-			t.Fatalf("v1 query reply: ok=%v rows=%d (%s)", resp.OK, len(resp.Rows), resp.Error)
+		br := bufio.NewReader(conn)
+		line, err := br.ReadBytes('\n')
+		var hello Response
+		if err != nil || json.Unmarshal(line, &hello) != nil || !hello.OK || hello.Version != ProtocolVersion {
+			t.Fatalf("hello reply = %q (%v)", line, err)
 		}
+		// The line's first bytes read as a frame header declaring an absurd
+		// length: a toolarge refusal frame, then the close.
+		h, err := readFrameHeader(br)
+		if err != nil {
+			t.Fatalf("refusal frame: %v", err)
+		}
+		payload, err := readFramePayload(br, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, _, err := decodeResponsePayload(payload, 0)
+		if err != nil || resp.OK || resp.Code != codeTooLarge {
+			t.Fatalf("refusal = %+v (%v), want code %q", resp, err, codeTooLarge)
+		}
+		if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
+			t.Fatalf("after the refusal: %v, want the server to close", err)
+		}
+	})
+
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.ConnCount() != 0 || runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("refused connections linger: %d connections, %d goroutines (baseline %d)",
+				srv.ConnCount(), runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -306,12 +324,10 @@ func TestV3NoHeadOfLineBlocking(t *testing.T) {
 
 // TestV3SlowWriteDoesNotBlockQuery drives the same property through the
 // serial lane: a disclosure stalled in the durable-ack path (slow log
-// Append) must not delay a concurrent query on the same connection —
-// and, as the contrast arm, a v2-pinned client's query does wait behind
-// it, because the line protocol has exactly one exchange in flight.
+// Append) must not delay a concurrent query on the same connection.
 func TestV3SlowWriteDoesNotBlockQuery(t *testing.T) {
 	const stall = 400 * time.Millisecond
-	run := func(t *testing.T, maxVersion int) (queryElapsed time.Duration) {
+	run := func(t *testing.T) (queryElapsed time.Duration) {
 		w, q := testWaldo(4)
 		var slow atomic.Bool
 		srv := startServer(t, w, Config{
@@ -323,11 +339,7 @@ func TestV3SlowWriteDoesNotBlockQuery(t *testing.T) {
 				return nil
 			},
 		})
-		c, err := DialOptions(srv.Addr(), Options{MaxVersion: maxVersion})
-		if err != nil {
-			t.Fatalf("Dial: %v", err)
-		}
-		t.Cleanup(func() { c.Close() })
+		c := dialClient(t, srv)
 		if err := c.Ping(); err != nil {
 			t.Fatalf("ping: %v", err)
 		}
@@ -353,13 +365,8 @@ func TestV3SlowWriteDoesNotBlockQuery(t *testing.T) {
 		return queryElapsed
 	}
 	t.Run("v3-concurrent", func(t *testing.T) {
-		if elapsed := run(t, 0); elapsed > stall/2 {
-			t.Fatalf("query took %v on a v3 connection with a stalled write; want well under %v", elapsed, stall)
-		}
-	})
-	t.Run("v2-serialized", func(t *testing.T) {
-		if elapsed := run(t, 2); elapsed < stall/2 {
-			t.Fatalf("query took only %v on a v2 connection with a stalled write; the line protocol should have serialized it", elapsed)
+		if elapsed := run(t); elapsed > stall/2 {
+			t.Fatalf("query took %v on a connection with a stalled write; want well under %v", elapsed, stall)
 		}
 	})
 }
@@ -464,62 +471,18 @@ func TestV3InFlightCap(t *testing.T) {
 	}
 }
 
-// TestTooLargeJSONLine sends an over-budget JSON line on a raw
-// connection and must read a machine-readable toolarge refusal before
-// the close — the old Scanner path dropped the connection silently.
-func TestTooLargeJSONLine(t *testing.T) {
-	w, _ := testWaldo(2)
-	srv := startServer(t, w, Config{})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	huge := make([]byte, maxLineBytes+1024)
-	for i := range huge {
-		huge[i] = 'x'
-	}
-	copy(huge, `{"op":"query","query":"`)
-	huge[len(huge)-1] = '\n'
-	if _, err := conn.Write(huge); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	var resp Response
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		t.Fatalf("no refusal before close: %v", err)
-	}
-	if resp.OK || resp.Code != codeTooLarge {
-		t.Fatalf("refusal = %+v, want code %q", resp, codeTooLarge)
-	}
-}
-
-// TestTooLargeClientSentinel pins the client-side mapping: both the
-// client's own precheck and a server toolarge refusal surface as
-// ErrTooLarge, and neither is retried.
+// TestTooLargeClientSentinel pins the client-side mapping: an oversized
+// frame is refused against the frame budget before it is sent, surfaces
+// as ErrTooLarge, and is not retried.
 func TestTooLargeClientSentinel(t *testing.T) {
 	w, _ := testWaldo(2)
 	srv := startServer(t, w, Config{})
-
-	// v2 path: the client's own wire-size precheck refuses before sending.
-	c2, err := DialOptions(srv.Addr(), Options{MaxVersion: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c2.Close() })
-	big := record.StringVal(string(make([]byte, maxRequestWireBytes)))
-	recs := []record.Record{record.New(pnode.Ref{PNode: 1, Version: 1}, "ENV", big)}
-	if err := c2.AppendProvenance(recs); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("v2 oversized disclose: %v, want ErrTooLarge", err)
-	}
-
-	// v3 path: an oversized frame is refused client-side against the
-	// frame budget before it is sent.
 	c3 := dialClient(t, srv)
 	if err := c3.Ping(); err != nil {
 		t.Fatal(err)
 	}
 	giant := record.StringVal(string(make([]byte, maxFramePayload)))
-	recs = []record.Record{record.New(pnode.Ref{PNode: 1, Version: 1}, "ENV", giant)}
+	recs := []record.Record{record.New(pnode.Ref{PNode: 1, Version: 1}, "ENV", giant)}
 	if err := c3.AppendProvenance(recs); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("v3 oversized disclose: %v, want ErrTooLarge", err)
 	}

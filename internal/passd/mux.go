@@ -1,17 +1,17 @@
 package passd
 
-// clientMux is the client half of protocol v3's stream multiplexing: one
+// clientMux is the client half of the wire's stream multiplexing: one
 // connection, many requests in flight, each on its own stream ID. A
 // single reader goroutine routes response frames (reassembling chunked
 // results) to per-request waiters; sends serialize on a write mutex but
 // requests never wait for each other's responses — which is what lets a
 // fast read overtake a slow query on the same connection.
 //
-// Failure semantics match the v2 line protocol's: any transport fault —
-// a read error, a torn frame, a request timing out — poisons the whole
-// connection (frame boundaries can no longer be trusted), every waiter
-// gets a transportError, and the owning Client redials. The retry policy
-// in client.go then decides, per op, what is safe to resend.
+// Failure semantics: any transport fault — a read error, a torn frame, a
+// request timing out — poisons the whole connection (frame boundaries can
+// no longer be trusted), every waiter gets a transportError, and the
+// owning Client redials. The retry policy in client.go then decides, per
+// op, what is safe to resend.
 
 import (
 	"bufio"
@@ -64,8 +64,8 @@ func (m *clientMux) fail(err error) {
 
 // do runs one round-trip: register a stream, send the request as a
 // single frame, wait for the (possibly chunked) response or the timeout.
-// A timeout kills the connection — same contract as the v2 socket
-// deadline — so an abandoned response cannot desynchronize later ones.
+// A timeout kills the connection, so an abandoned response cannot
+// desynchronize later ones.
 func (m *clientMux) do(req *Request, timeout time.Duration) (*Response, error) {
 	m.mu.Lock()
 	if m.err != nil {
@@ -180,8 +180,8 @@ func (m *clientMux) readLoop() {
 	}
 }
 
-// readErr normalizes the reader's end-of-stream into the same message
-// the v2 path reports for a server-closed connection.
+// readErr normalizes the reader's end-of-stream, on the hello line or a
+// frame, into one message for a server-closed connection.
 func readErr(err error) error {
 	if errors.Is(err, errFrameTooLarge) {
 		return fmt.Errorf("passd: server sent an over-budget frame: %w", err)

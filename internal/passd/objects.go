@@ -1,7 +1,7 @@
 package passd
 
-// Server-side DPAPI object registry. A protocol-v2 daemon is a layer in
-// the paper's sense (§5.2): clients above it create phantom objects
+// Server-side DPAPI object registry. The daemon is a layer in the
+// paper's sense (§5.2): clients above it create phantom objects
 // (browser sessions, workflow operators, invocations), disclose provenance
 // against them, freeze them to break cycles, and revive them across
 // connections. The registry is the daemon's half of that contract:

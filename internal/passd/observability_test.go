@@ -386,7 +386,7 @@ func TestMetricsStatsConsistency(t *testing.T) {
 			t.Errorf("metrics quota_refused{tenant=%s} = %v, ledger %d", tenant, got, ledger.refused[tenant])
 		}
 	}
-	for _, lane := range []string{laneLine, laneSerial, laneConcurrent} {
+	for _, lane := range []string{laneSerial, laneConcurrent} {
 		if got := sample(sampleKey("passd_inflight", "lane", lane)); got != 0 {
 			t.Errorf("metrics inflight{lane=%s} = %v after quiesce", lane, got)
 		}
@@ -430,20 +430,20 @@ func TestQuotaProperties(t *testing.T) {
 
 	// The admission primitive: an in-flight cap of one admits serially
 	// and refuses concurrently, and release restores capacity.
-	rel1, err := srv.admitTenant("cap", "query", 0)
+	rel1, err := srv.admitTenant("cap", verbFor("query"), 0)
 	if err != nil {
 		t.Fatalf("first admit under cap: %v", err)
 	}
-	if _, err := srv.admitTenant("cap", "query", 0); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := srv.admitTenant("cap", verbFor("query"), 0); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("second concurrent admit = %v, want ErrQuotaExceeded", err)
 	}
 	rel1()
-	rel2, err := srv.admitTenant("cap", "query", 0)
+	rel2, err := srv.admitTenant("cap", verbFor("query"), 0)
 	if err != nil {
 		t.Fatalf("admit after release: %v", err)
 	}
 	rel2()
-	if rel, err := srv.admitTenant("", "query", 1<<30); err != nil {
+	if rel, err := srv.admitTenant("", verbFor("query"), 1<<30); err != nil {
 		t.Fatalf("the empty tenant must never be limited, got %v", err)
 	} else {
 		rel()

@@ -6,40 +6,41 @@
 // kvdb's copy-on-write views), so readers never contend with ApplyBatch —
 // the serialization the in-process path pays on waldo.DB's store lock.
 //
-// The wire protocol starts as one JSON object per line in each direction
-// (see DESIGN.md §9 for the grammar); a hello that negotiates protocol
-// version 3 upgrades the connection to the multiplexed binary framing in
-// frame.go (DESIGN.md §11) — same verbs, same envelopes, but many
-// requests in flight per connection and record/data/row payloads off
-// JSON:
+// The wire protocol (DESIGN.md §9) is one transport: a connection opens
+// with a single JSON hello line, answered once, and from then on both
+// sides exchange the multiplexed binary frames in frame.go — many
+// requests in flight per connection, record/data/row payloads off JSON.
+// Anything else on the first line is refused with the "unsupported" (or
+// "toolarge") code and a close:
 //
-//	→ {"op":"query","query":"select ...","timeout_ms":500}
-//	← {"ok":true,"columns":["A"],"rows":[[{"k":"ref","p":5,"v":1,"n":"/f"}]]}
+//	→ {"op":"hello","v":3,"tenant":"acct"}
+//	← {"ok":true,"version":3,"volume":61440}
+//	⇄ frames
 //
-// Protocol v1 verbs: "query" evaluates PQL over a pinned snapshot;
-// "explain" returns the plan without executing; "stats" reports database
-// and server counters (including checkpoint and boot-recovery state);
-// "drain" forces a synchronous Waldo drain so subsequent views observe
-// everything logged; "checkpoint" forces a durable checkpoint generation
-// (Config.Checkpoints); "append" durably logs provenance records before
-// replying; "ping" is a liveness no-op.
+// Verbs (verbs.go is the table of record): "query" evaluates PQL over a
+// pinned snapshot; "explain" returns the plan without executing; "stats"
+// reports database and server counters (including checkpoint and
+// boot-recovery state); "drain" forces a synchronous Waldo drain so
+// subsequent views observe everything logged; "checkpoint" forces a
+// durable checkpoint generation (Config.Checkpoints); "ping" is a
+// liveness no-op; "hello" reports the protocol version and the server's
+// phantom-object volume prefix.
 //
-// Protocol v2 makes the daemon a DPAPI layer (§5.2): its verbs are the six
+// The daemon is a DPAPI layer (§5.2): the rest of its verbs are the six
 // Disclosed Provenance API calls, so anything that stacks on a local layer
 // through dpapi.Object/dpapi.Layer stacks on a remote daemon through the
-// same interface. "hello" negotiates the protocol version and reports the
-// server's phantom-object volume prefix; "mkobj" creates a phantom object
-// and returns a wire handle; "revive" reopens one by (pnode, version)
-// across connections and daemon restarts; "read" returns data plus the
-// exact identity read (pass_read); "write" applies a data buffer and a
-// provenance-record bundle as one unit, durably acknowledged (pass_write);
-// "freeze" versions the object (cycle breaking); "sync" forces its
-// provenance to persistent storage; "close" releases the handle without
-// destroying provenance; "batch" pipelines many DPAPI ops in one
-// round-trip under a single durable acknowledgment. "append" is retained
-// as a deprecated v1 alias over the handle-less write path. The client
-// side of the same contract is passd.Client (a dpapi.Layer) handing out
-// RemoteObject handles (dpapi.Object) — see dpapi.go.
+// same interface. "mkobj" creates a phantom object and returns a wire
+// handle; "revive" reopens one by (pnode, version) across connections and
+// daemon restarts; "read" returns data plus the exact identity read
+// (pass_read); "write" applies a data buffer and a provenance-record
+// bundle as one unit, durably acknowledged (pass_write; with no handle it
+// commits already-analyzed records as they are); "freeze" versions the
+// object (cycle breaking); "sync" forces its provenance to persistent
+// storage; "close" releases the handle without destroying provenance;
+// "batch" pipelines many DPAPI ops in one round-trip under a single
+// durable acknowledgment. The client side of the same contract is
+// passd.Client (a dpapi.Layer) handing out RemoteObject handles
+// (dpapi.Object) — see dpapi.go.
 //
 // Replication (DESIGN.md §10) adds three peer verbs on the same wire:
 // "repljoin" announces a follower's serving address to the primary (which
@@ -60,7 +61,8 @@
 // daemon restarts from the newest valid generation and re-drains only the
 // log tail past the checkpointed offsets — see passv2/internal/checkpoint.
 //
-// Concurrency model: one goroutine per connection, but query execution
+// Concurrency model: a reader, a writer and a serial lane per connection
+// plus a goroutine per concurrent-safe request, but query execution
 // passes through a bounded worker pool (Config.Workers slots). When all
 // slots are busy, up to Config.MaxQueue queries wait; beyond that the
 // server sheds load with an "overloaded" error instead of queueing
@@ -77,23 +79,18 @@ import (
 	"passv2/internal/record"
 )
 
-// Request is one client command, encoded as a single JSON line.
+// Request is one client command: the hello line is this struct as JSON,
+// and a request frame carries it as a JSON envelope followed by binary
+// sections for the bulk fields the marshaler skips (the record bundle,
+// Data, Ops) — see frame.go.
 type Request struct {
-	// Op is the verb (case-insensitive). v1: "query", "explain", "stats",
-	// "drain", "checkpoint", "append", "ping". v2 (DPAPI): "hello",
-	// "mkobj", "revive", "read", "write", "freeze", "sync", "close",
-	// "batch".
+	// Op is the verb (case-insensitive); verbs.go lists them.
 	Op string `json:"op"`
 	// Query is the PQL source for "query" and "explain".
 	Query string `json:"query,omitempty"`
 	// TimeoutMS overrides the server's default per-query deadline,
 	// capped at Config.MaxTimeout. Zero means the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Records carries provenance records: the bundle of a "write", or the
-	// raw payload of the deprecated "append" alias. The server commits
-	// them durably (write-through to the volume log when it owns one)
-	// before replying, so an acknowledged write survives a daemon kill.
-	Records []WireRecord `json:"records,omitempty"`
 	// Tenant is an optional tenant identity for per-tenant accounting and
 	// quotas (Config.TenantQuotas). Carried on "hello" it names the whole
 	// connection; carried on any other request it names that request
@@ -101,14 +98,14 @@ type Request struct {
 	// never quota-limited, never per-tenant-counted.
 	Tenant string `json:"tenant,omitempty"`
 
-	// --- protocol v2 fields ---
+	// --- DPAPI fields ---
 
 	// Version is the highest protocol version the client speaks
-	// ("hello"). Servers reply with min(theirs, ours).
+	// ("hello"); it must be at least ProtocolVersion.
 	Version int `json:"v,omitempty"`
 	// Handle addresses an open object for "read", "write", "freeze",
 	// "sync" and "close". Zero on "write" means the handle-less disclose
-	// path (the "append" alias).
+	// path.
 	Handle uint64 `json:"h,omitempty"`
 	// P and Ver identify the object to "revive" (pnode, version).
 	P   uint64 `json:"p,omitempty"`
@@ -117,12 +114,12 @@ type Request struct {
 	Off int64 `json:"off,omitempty"`
 	// Len bounds how many bytes a "read" returns.
 	Len int `json:"len,omitempty"`
-	// Data is the payload of a "write" (base64 inside the JSON line).
-	Data []byte `json:"data,omitempty"`
+	// Data is the payload of a "write".
+	Data []byte `json:"-"`
 	// Ops is the pipelined op list of a "batch": each entry is a full
 	// Request restricted to the DPAPI verbs (no nested batches). The
 	// server executes them in order and acknowledges once, durably.
-	Ops []Request `json:"ops,omitempty"`
+	Ops []Request `json:"-"`
 
 	// --- replication fields (see internal/replica and DESIGN.md §10) ---
 
@@ -153,16 +150,16 @@ type Request struct {
 	VerifyFrom  uint64 `json:"verify_from,omitempty"`
 	VerifyTo    uint64 `json:"verify_to,omitempty"`
 
-	// recs is the native-form record bundle of a "write"/"append": the
-	// protocol-v3 binary framing ships it through internal/record's codec
-	// (frame.go) instead of the JSON WireRecord form, so Records never
-	// needs to be materialized on a v3 connection. When both are present,
-	// recs wins; the JSON marshaler never sees this field.
+	// recs is the record bundle of a "write": the server commits it
+	// durably (write-through to the volume log when it owns one) before
+	// replying, so an acknowledged write survives a daemon kill. The
+	// framing ships it through internal/record's codec (frame.go); the
+	// JSON marshaler never sees this field.
 	recs []record.Record
 }
 
-// Response is one server reply, encoded as a single JSON line. Exactly one
-// response is written per request, in request order.
+// Response is one server reply: exactly one per request, on the request's
+// stream (the hello reply is this struct as one JSON line).
 type Response struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
@@ -173,24 +170,24 @@ type Response struct {
 	Code string `json:"code,omitempty"`
 
 	Columns    []string        `json:"columns,omitempty"`    // query
-	Rows       [][]Value       `json:"rows,omitempty"`       // query
+	Rows       [][]Value       `json:"-"`                    // query (binary section)
 	Plan       string          `json:"plan,omitempty"`       // explain
 	Stats      *Stats          `json:"stats,omitempty"`      // stats
 	Records    int64           `json:"records,omitempty"`    // drain
-	Appended   int64           `json:"appended,omitempty"`   // append/write: records committed
+	Appended   int64           `json:"appended,omitempty"`   // write: records committed
 	Checkpoint *CheckpointInfo `json:"checkpoint,omitempty"` // checkpoint
 	Elapsed    int64           `json:"elapsed_us,omitempty"`
 
-	// --- protocol v2 fields ---
+	// --- DPAPI fields ---
 
-	Version int        `json:"version,omitempty"` // hello: negotiated version
+	Version int        `json:"version,omitempty"` // hello: the protocol version served
 	Volume  uint16     `json:"volume,omitempty"`  // hello: phantom-object volume prefix
 	Handle  uint64     `json:"h,omitempty"`       // mkobj/revive: wire handle
 	P       uint64     `json:"p,omitempty"`       // mkobj/revive/read: object identity
 	Ver     uint32     `json:"ver,omitempty"`     // mkobj/revive/read/freeze: version
 	N       int        `json:"n,omitempty"`       // read/write: bytes moved
-	Data    []byte     `json:"data,omitempty"`    // read: payload
-	Ops     []Response `json:"ops,omitempty"`     // batch: one response per op, in order
+	Data    []byte     `json:"-"`                 // read: payload (binary section)
+	Ops     []Response `json:"-"`                 // batch: one response per op, in order (binary section)
 
 	// ReplSize is the follower's durable replicated log size after a
 	// "replstate" or "replappend" — the offset replication resumes from.
@@ -202,8 +199,8 @@ type Response struct {
 }
 
 // WireVerify is the wire form of a "verify" answer. All hashes, keys and
-// signatures are hex-encoded so the struct survives both the JSON-line
-// and the binary-framed transports unchanged. Which fields are set
+// signatures are hex-encoded, so the struct rides the frame's JSON
+// envelope unchanged. Which fields are set
 // depends on Op:
 //
 //   - "root": Size, Root and Volume always; DeviceID, PubKey, Sig and
@@ -256,12 +253,15 @@ const (
 	codeReadOnly   = "read_only"
 	codeGap        = "gap"
 	// codeTooLarge classifies a request that overflows the server's wire
-	// budget (the 4 MiB JSON line cap, or the 16 MiB frame cap on v3).
-	// The server replies with it before closing the connection — the old
-	// behavior was a silent drop when bufio.Scanner hit ErrTooLong — and
-	// the client maps it onto ErrTooLarge. It is never retryable: the
-	// same bytes would be refused again.
+	// budget (the hello line's maxHelloBytes, a frame's maxFramePayload).
+	// The server replies with it before closing the connection, and the
+	// client maps it onto ErrTooLarge. It is never retryable: the same
+	// bytes would be refused again.
 	codeTooLarge = "toolarge"
+	// codeUnsupported refuses a connection whose first line is not a hello
+	// offering ProtocolVersion or later — a v1 verb, a v2 hello, garbage.
+	// The reply is the last thing the server sends before it closes.
+	codeUnsupported = "unsupported"
 	// codeQuota classifies a per-tenant quota refusal (ErrQuotaExceeded):
 	// the request was refused at admission, before execution, because its
 	// tenant is over its in-flight or staged-bytes/sec cap. Like
@@ -312,7 +312,7 @@ type Stats struct {
 	Shed        int64 `json:"shed"`               // queries refused by backpressure
 	Drains      int64 `json:"drains"`             // drain verbs served
 	Conns       int64 `json:"conns"`              // currently open connections
-	V3Conns     int64 `json:"v3_conns,omitempty"` // connections upgraded to binary framing
+	V3Conns     int64 `json:"v3_conns,omitempty"` // connections past hello, speaking frames
 	Workers     int   `json:"workers"`            // worker-pool size
 	CacheHits   int64 `json:"cache_hits"`         // queries answered from a snapshot's result cache
 	CacheMisses int64 `json:"cache_misses"`       // queries that executed
@@ -330,7 +330,7 @@ type Stats struct {
 	CheckpointFullBytes   int64 `json:"checkpoint_full_bytes"`
 	CheckpointDeltaBytes  int64 `json:"checkpoint_delta_bytes"`
 	CheckpointSweepErrors int64 `json:"checkpoint_sweep_errors"`
-	Appends               int64 `json:"appends"` // records accepted via the append verb
+	Appends               int64 `json:"appends"` // records staged for commit over the wire
 
 	RecoveredGen     int64 `json:"recovered_gen"`     // generation recovered at boot (0 = cold start)
 	RecoveredRecords int64 `json:"recovered_records"` // records in the recovered snapshot
@@ -389,14 +389,10 @@ type TenantStats struct {
 	InFlight    int64 `json:"in_flight"`
 }
 
-// ProtocolVersion is the highest wire-protocol version this package
-// speaks. Version 1 is the query protocol (PR 3/4); version 2 adds the
-// DPAPI verbs; version 3 keeps the verb set and replaces the transport:
-// after a hello that negotiates ≥3, both sides switch from JSON lines to
-// the multiplexed binary framing in frame.go. Servers answer "hello"
-// with min(client, server), so a v3 client falls back to JSON lines
-// against a v2 server and a v2 client never sees a frame; every v1 verb
-// remains valid on any connection.
+// ProtocolVersion is the one wire-protocol version this package speaks:
+// a JSON hello line, then the multiplexed binary framing in frame.go.
+// Versions 1 and 2 (JSON lines throughout) are retired; a peer offering
+// less is refused with the "unsupported" code.
 const ProtocolVersion = 3
 
 // AttrMkobj is the registry's allocation record: a daemon backed by a
@@ -405,58 +401,6 @@ const ProtocolVersion = 3
 // revivable before its first disclosure. It is layer housekeeping, in
 // the same spirit as Lasagna's LPATH records.
 const AttrMkobj record.Attr = "MKOBJ"
-
-// WireRecord is the wire form of one provenance record for the append
-// verb: the subject ref, the attribute, and the value reusing the result
-// Value encoding (kinds "str", "int", "bool" and "ref").
-type WireRecord struct {
-	P    uint64 `json:"p"`
-	V    uint32 `json:"v"`
-	Attr string `json:"attr"`
-	Val  Value  `json:"val"`
-}
-
-// encodeRecord converts a provenance record to its wire form. Byte-valued
-// records are not representable on this wire and report false.
-func encodeRecord(r record.Record) (WireRecord, bool) {
-	wr := WireRecord{P: uint64(r.Subject.PNode), V: uint32(r.Subject.Version), Attr: string(r.Attr)}
-	switch r.Value.Kind() {
-	case record.KindString:
-		s, _ := r.Value.AsString()
-		wr.Val = Value{K: "str", S: s}
-	case record.KindInt:
-		i, _ := r.Value.AsInt()
-		wr.Val = Value{K: "int", I: i}
-	case record.KindBool:
-		b, _ := r.Value.AsBool()
-		wr.Val = Value{K: "bool", B: b}
-	case record.KindRef:
-		dep, _ := r.Value.AsRef()
-		wr.Val = Value{K: "ref", P: uint64(dep.PNode), V: uint32(dep.Version)}
-	default:
-		return wr, false
-	}
-	return wr, true
-}
-
-// decodeRecord converts a wire record back to a provenance record.
-func decodeRecord(wr WireRecord) (record.Record, error) {
-	subj := pnode.Ref{PNode: pnode.PNode(wr.P), Version: pnode.Version(wr.V)}
-	var val record.Value
-	switch wr.Val.K {
-	case "str":
-		val = record.StringVal(wr.Val.S)
-	case "int":
-		val = record.Int(wr.Val.I)
-	case "bool":
-		val = record.Bool(wr.Val.B)
-	case "ref":
-		val = record.Ref(pnode.Ref{PNode: pnode.PNode(wr.Val.P), Version: pnode.Version(wr.Val.V)})
-	default:
-		return record.Record{}, fmt.Errorf("passd: unknown record value kind %q", wr.Val.K)
-	}
-	return record.New(subj, record.Attr(wr.Attr), val), nil
-}
 
 // encodeValue converts an engine value to its wire form.
 func encodeValue(v pql.Value) Value {

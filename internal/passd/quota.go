@@ -2,7 +2,6 @@ package passd
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -104,31 +103,21 @@ func (ts *tenantState) release() {
 	ts.mu.Unlock()
 }
 
-// stagingVerb reports whether op stages record bytes into the durable-ack
-// pipeline — the verbs the staged-bytes/sec quota charges by wire size.
-func stagingVerb(op string) bool {
-	switch strings.ToLower(op) {
-	case "append", "write", "batch", "mkobj", "freeze":
-		return true
-	}
-	return false
-}
-
-// admitTenant is the serving path's quota gate. The empty tenant — every
-// v1/v2 client that never heard of tenancy — is unattributed: never
-// counted per-tenant, never limited. A named tenant is always counted
+// admitTenant is the serving path's quota gate. The empty tenant — a
+// client that names none on hello — is unattributed: never counted
+// per-tenant, never limited. A named tenant is always counted
 // (passd_tenant_requests_total includes refused attempts — that is what
 // makes "accepted + refused == offered" checkable from the outside), and
 // limited only when Config.TenantQuotas names it. The returned release
 // must be called when the request finishes; it is non-nil exactly when
 // err is nil.
-func (s *Server) admitTenant(tenant, verb string, wireBytes int) (func(), error) {
+func (s *Server) admitTenant(tenant string, verb *verbSpec, wireBytes int) (func(), error) {
 	if tenant == "" {
 		return func() {}, nil
 	}
 	s.met.tenantRequests.With(tenant).Inc()
 	var charge int64
-	if stagingVerb(verb) {
+	if verb.staged {
 		charge = int64(wireBytes)
 	}
 	ts := s.tenants.state(tenant)

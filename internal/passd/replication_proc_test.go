@@ -102,7 +102,7 @@ func TestKillOneReplicaNoAckedLoss(t *testing.T) {
 	wantRecords := int64(2 * batches * perBatch)
 	appendBatch := func(b int) {
 		t.Helper()
-		if _, err := c.Append(replRecs(b*perBatch, perBatch)); err != nil {
+		if err := c.AppendProvenance(replRecs(b*perBatch, perBatch)); err != nil {
 			t.Fatalf("append batch %d: %v", b, err)
 		}
 	}

@@ -160,7 +160,7 @@ func TestReplicatedQuorumAck(t *testing.T) {
 	prim, p, fs := startReplGroup(t, 2, 2, 2*time.Second)
 	c := dialClient(t, prim.srv)
 
-	if _, err := c.Append(replRecs(0, 50)); err != nil {
+	if err := c.AppendProvenance(replRecs(0, 50)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	// The ack guarantees at least one follower; both catch up promptly.
@@ -194,7 +194,7 @@ func TestFollowerRefusesWrites(t *testing.T) {
 	f := startReplFollower(t)
 	c := dialClient(t, f.srv)
 
-	if _, err := c.Append(replRecs(0, 1)); !errors.Is(err, ErrReadOnly) {
+	if err := c.AppendProvenance(replRecs(0, 1)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("append on follower: %v, want ErrReadOnly", err)
 	}
 	if _, err := c.PassMkobj(); !errors.Is(err, ErrReadOnly) {
@@ -217,7 +217,7 @@ func TestReplicatedGroupSurvivesFollowerKill(t *testing.T) {
 	prim, _, fs := startReplGroup(t, 2, 2, 500*time.Millisecond)
 	c := dialClient(t, prim.srv)
 
-	if _, err := c.Append(replRecs(0, 20)); err != nil {
+	if err := c.AppendProvenance(replRecs(0, 20)); err != nil {
 		t.Fatalf("append 1: %v", err)
 	}
 	f2c := dialClient(t, fs[1].srv)
@@ -225,7 +225,7 @@ func TestReplicatedGroupSurvivesFollowerKill(t *testing.T) {
 
 	// Kill follower 0: quorum still holds via follower 1.
 	fs[0].srv.Close()
-	if _, err := c.Append(replRecs(20, 20)); err != nil {
+	if err := c.AppendProvenance(replRecs(20, 20)); err != nil {
 		t.Fatalf("append after one follower died: %v", err)
 	}
 	waitRows(t, f2c, replQuery(39), 1)
@@ -239,7 +239,7 @@ func TestReplicatedGroupSurvivesFollowerKill(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	if _, err := nc.Append(replRecs(40, 1)); !errors.Is(err, ErrUnavailable) {
+	if err := nc.AppendProvenance(replRecs(40, 1)); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("append with no followers: %v, want ErrUnavailable", err)
 	}
 	st, err := nc.Stats()
@@ -263,7 +263,7 @@ func TestReplicatedGroupSurvivesFollowerKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if _, err := rc.Append(replRecs(41, 1)); !errors.Is(err, ErrUnavailable) || errors.Is(err, ErrExhausted) {
+	if err := rc.AppendProvenance(replRecs(41, 1)); !errors.Is(err, ErrUnavailable) || errors.Is(err, ErrExhausted) {
 		t.Fatalf("refused write = %v, want ErrUnavailable surfaced without retries", err)
 	}
 	after, err := rc.Stats()
@@ -282,7 +282,7 @@ func TestReplicatedGroupSurvivesFollowerKill(t *testing.T) {
 func TestClusterFailoverKeepsServing(t *testing.T) {
 	prim, _, fs := startReplGroup(t, 2, 2, 2*time.Second)
 	c := dialClient(t, prim.srv)
-	if _, err := c.Append(replRecs(0, 30)); err != nil {
+	if err := c.AppendProvenance(replRecs(0, 30)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	// Followers drain on replappend; the primary drains on demand.
@@ -329,7 +329,7 @@ func TestClusterFailoverKeepsServing(t *testing.T) {
 func TestHedgedReadsBeatSlowReplica(t *testing.T) {
 	prim, _, fs := startReplGroup(t, 2, 2, 2*time.Second)
 	c := dialClient(t, prim.srv)
-	if _, err := c.Append(replRecs(0, 10)); err != nil {
+	if err := c.AppendProvenance(replRecs(0, 10)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	for _, f := range fs {
@@ -371,7 +371,7 @@ func TestHedgedReadsBeatSlowReplica(t *testing.T) {
 func TestFollowerLateJoinCatchesUp(t *testing.T) {
 	prim, p, _ := startReplGroup(t, 1, 0, time.Second)
 	c := dialClient(t, prim.srv)
-	if _, err := c.Append(replRecs(0, 100)); err != nil {
+	if err := c.AppendProvenance(replRecs(0, 100)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 

@@ -112,7 +112,7 @@ func TestKillRestartRecovery(t *testing.T) {
 
 	cmd, c := start()
 	for lo := 0; lo < pre; lo += 500 {
-		if _, err := c.Append(recs(lo, 500)); err != nil {
+		if err := c.AppendProvenance(recs(lo, 500)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestKillRestartRecovery(t *testing.T) {
 	}
 	// Post-checkpoint appends: acknowledged (therefore durably logged),
 	// never checkpointed.
-	if _, err := c.Append(recs(pre, post)); err != nil {
+	if err := c.AppendProvenance(recs(pre, post)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,7 +2,6 @@ package passd
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -47,13 +46,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested deadlines; <=0 means 30s.
 	MaxTimeout time.Duration
-	// MaxVersion caps the protocol version hello negotiates; <=0 means
-	// ProtocolVersion. Setting 2 serves the line-oriented JSON protocol
-	// only — the knob the negotiation-matrix tests (and a staged rollout)
-	// use to stand up a "v2-only" daemon.
-	MaxVersion int
-	// MaxInFlight bounds how many requests one protocol-v3 connection may
-	// have executing or queued at once; beyond it the server replies
+	// MaxInFlight bounds how many requests one connection may have
+	// executing or queued at once; beyond it the server replies
 	// ErrOverloaded immediately instead of reading further ahead. This is
 	// per-connection admission control in front of the worker pool's
 	// global backpressure (queries still shed via MaxQueue). <=0 means
@@ -179,12 +173,12 @@ type Server struct {
 	cfg Config
 	w   *waldo.Waldo
 	ln  net.Listener
-	reg *registry // protocol-v2 phantom objects
+	reg *registry // phantom objects
 
 	workers chan struct{} // worker-pool slots
 	waiting atomic.Int64  // queries queued for a slot
 	closed  atomic.Bool
-	v3Conns atomic.Int64 // connections upgraded to binary framing
+	v3Conns atomic.Int64 // connections past hello, speaking frames
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -364,9 +358,6 @@ func Serve(w *waldo.Waldo, cfg Config) (*Server, error) {
 	}
 	if cfg.CheckpointInterval <= 0 {
 		cfg.CheckpointInterval = 30 * time.Second
-	}
-	if cfg.MaxVersion <= 0 || cfg.MaxVersion > ProtocolVersion {
-		cfg.MaxVersion = ProtocolVersion
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 1024
@@ -560,8 +551,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connState is the per-connection protocol-v2 residue: the wire handles
-// this connection has opened. Handles are connection-scoped (a disconnect
+// connState is the per-connection DPAPI residue: the wire handles this
+// connection has opened. Handles are connection-scoped (a disconnect
 // releases them all — the object and its provenance survive in the
 // registry, revivable from any later connection) and touched only by the
 // connection's own goroutine, so no lock is needed.
@@ -600,122 +591,23 @@ func (cs *connState) lookup(h uint64) (*serverObject, error) {
 	return obj, nil
 }
 
-// maxLineBytes is the JSON protocol's per-line read budget (v1/v2). An
-// over-budget line is refused with a codeTooLarge response before the
-// connection closes — the framing is unrecoverable past the cap, but the
-// client gets a machine-readable reason instead of a silent drop.
-const maxLineBytes = 4 << 20
-
-// errLineTooLong reports a request line over maxLineBytes.
-var errLineTooLong = errors.New("passd: request line exceeds the wire size budget")
+// maxHelloBytes is the read budget for the one JSON line a connection
+// opens with — the size of the pooled reader's buffer, so the line is
+// bounded before anything is allocated for it. An over-budget line is
+// refused with codeTooLarge before the connection closes: the client gets
+// a machine-readable reason instead of a silent drop.
+const maxHelloBytes = 64 << 10
 
 // connReaderPool recycles per-connection read buffers: connection churn
 // (a swarm of short-lived clients) must not allocate a fresh 64 KiB
 // buffer per accept.
 var connReaderPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, 64<<10) },
+	New: func() any { return bufio.NewReaderSize(nil, maxHelloBytes) },
 }
 
-// respBuffer is a pooled response-marshal buffer plus its JSON encoder:
-// the v2 JSON path encodes every reply into one of these and hands the
-// bytes to the connection in a single write, instead of allocating an
-// encode buffer per reply.
-type respBuffer struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var respBufPool = sync.Pool{
-	New: func() any {
-		rb := &respBuffer{}
-		rb.enc = json.NewEncoder(&rb.buf)
-		return rb
-	},
-}
-
-// writeJSONResponse marshals resp through a pooled buffer and writes it
-// as one line. Buffers inflated by a giant result set are dropped rather
-// than pooled.
-func writeJSONResponse(w io.Writer, resp *Response) error {
-	rb := respBufPool.Get().(*respBuffer)
-	rb.buf.Reset()
-	if err := rb.enc.Encode(resp); err != nil {
-		respBufPool.Put(rb)
-		return err
-	}
-	_, err := w.Write(rb.buf.Bytes())
-	if rb.buf.Cap() <= 1<<20 {
-		respBufPool.Put(rb)
-	}
-	return err
-}
-
-// readBoundedLine reads one newline-terminated line of at most
-// maxLineBytes, mirroring bufio.Scanner's line semantics (final line
-// without a newline is still a line, trailing \r is stripped) but with a
-// typed over-budget error instead of a silent stop. The fast path — a
-// line that fits the reader's buffer — returns a slice aliasing it,
-// valid until the next read.
-func readBoundedLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err == nil {
-		return trimLine(line), nil
-	}
-	if errors.Is(err, io.EOF) {
-		if len(line) > 0 {
-			return trimLine(line), nil
-		}
-		return nil, io.EOF
-	}
-	if !errors.Is(err, bufio.ErrBufferFull) {
-		return nil, err
-	}
-	buf := append([]byte(nil), line...)
-	for {
-		if len(buf) > maxLineBytes {
-			return nil, errLineTooLong
-		}
-		line, err = br.ReadSlice('\n')
-		buf = append(buf, line...)
-		switch {
-		case err == nil:
-			if len(buf) > maxLineBytes {
-				return nil, errLineTooLong
-			}
-			return trimLine(buf), nil
-		case errors.Is(err, io.EOF):
-			if len(buf) > maxLineBytes {
-				return nil, errLineTooLong
-			}
-			if len(buf) > 0 {
-				return trimLine(buf), nil
-			}
-			return nil, io.EOF
-		case errors.Is(err, bufio.ErrBufferFull):
-			// keep accumulating
-		default:
-			return nil, err
-		}
-	}
-}
-
-// trimLine strips the trailing newline (and \r) from a raw line.
-func trimLine(line []byte) []byte {
-	if n := len(line); n > 0 && line[n-1] == '\n' {
-		line = line[:n-1]
-	}
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line
-}
-
-// handle serves one connection. It starts in the line-oriented JSON
-// protocol (v1/v2): requests processed sequentially, one JSON line in,
-// one JSON line out. A hello that negotiates protocol version ≥3 hands
-// the connection to serveFrames, which multiplexes many in-flight
-// requests over binary frames; until then, concurrency comes from
-// connections, not from pipelining within one.
+// handle serves one connection: one JSON hello line, answered once, then
+// binary frames (serveFrames) until either side closes. Anything else on
+// the first line is refused with a coded reply and a close.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	cs := &connState{}
@@ -738,59 +630,64 @@ func (s *Server) handle(conn net.Conn) {
 		br.Reset(nil) // drop the conn reference before pooling
 		connReaderPool.Put(br)
 	}()
-	for {
-		line, err := readBoundedLine(br)
-		if err != nil {
-			if errors.Is(err, errLineTooLong) {
-				// The stream is desynchronized past the budget, so the
-				// connection must close — but with a machine-readable
-				// refusal first, not the silent drop Scanner's ErrTooLong
-				// used to cause.
-				writeJSONResponse(conn, &Response{
-					Error: fmt.Sprintf("request line exceeds the %d-byte budget; split the request", maxLineBytes),
-					Code:  codeTooLarge,
-				})
-				drainBeforeClose(conn, br)
-			}
-			return
-		}
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		resp := Response{}
-		if err := json.Unmarshal(line, &req); err != nil {
-			resp.Error = "bad request: " + err.Error()
-		} else {
-			resolveTenant(cs, &req)
-			resp = s.serve(cs, &req, laneLine, len(line))
-		}
-		resp.OK = resp.Error == ""
-		if err := writeJSONResponse(conn, &resp); err != nil {
-			return
-		}
-		// A successful hello that negotiated v3 upgrades the transport:
-		// everything after this reply is binary frames, both directions.
-		if resp.OK && resp.Version >= 3 && strings.EqualFold(req.Op, "hello") {
-			s.serveFrames(conn, br, cs)
-			return
-		}
+	if s.handshake(conn, br, cs) {
+		s.serveFrames(conn, br, cs)
 	}
 }
 
-// serialVerb reports whether op must run on the connection's serial lane:
-// DPAPI verbs share the per-connection handle table (connState) and keep
-// v2's strict FIFO semantics, and record-staging verbs keep their
-// arrival order. Everything else — queries, stats, replication state —
-// touches only shared state with its own synchronization and may run
-// concurrently; that split is what lets a fast query overtake a slow
-// disclosure on the same connection.
-func serialVerb(op string) bool {
-	switch strings.ToLower(op) {
-	case "query", "explain", "stats", "drain", "checkpoint", "ping", "hello", "replstate", "repljoin", "verify":
+// handshake reads the connection's opening line and answers it, reporting
+// whether the connection may go on to frames. A well-formed hello runs
+// through serve like any request — counted per verb, admitted against its
+// tenant's quota — and a refused one (over quota) ends the connection just
+// as a malformed one does: one line, one reply.
+func (s *Server) handshake(conn net.Conn, br *bufio.Reader, cs *connState) bool {
+	line, err := br.ReadSlice('\n')
+	var resp Response
+	switch {
+	case errors.Is(err, bufio.ErrBufferFull):
+		resp = Response{
+			Error: fmt.Sprintf("hello line exceeds the %d-byte budget", maxHelloBytes),
+			Code:  codeTooLarge,
+		}
+	case err != nil && len(line) == 0:
+		return false // the peer left without saying anything
+	default:
+		req, refusal := parseHello(line)
+		if refusal != nil {
+			resp = *refusal
+			break
+		}
+		resolveTenant(cs, req)
+		resp = s.serve(cs, verbFor(req.Op), req, laneSerial, len(line))
+	}
+	b, merr := json.Marshal(&resp)
+	if merr != nil {
 		return false
 	}
-	return true
+	if _, err := conn.Write(append(b, '\n')); err != nil {
+		return false
+	}
+	if !resp.OK {
+		// The refusal must reach a peer that is still mid-send (a v1 client
+		// pipelining lines, the rest of an over-budget one).
+		drainBeforeClose(conn, br)
+	}
+	return resp.OK
+}
+
+// parseHello decodes a connection's opening line: the hello request, or
+// the coded refusal to send instead. Only a hello offering protocol ≥3
+// passes — a v1 verb, a hello from a v2 client and plain garbage all get
+// codeUnsupported, because the peer cannot be assumed to read frames.
+func parseHello(line []byte) (*Request, *Response) {
+	var req Request
+	if json.Unmarshal(line, &req) != nil || !strings.EqualFold(req.Op, "hello") || req.Version < ProtocolVersion {
+		return nil, &Response{
+			Error: fmt.Sprintf(`this daemon speaks protocol v%d only: open with {"op":"hello","v":%d}, then binary frames`, ProtocolVersion, ProtocolVersion),
+			Code:  codeUnsupported,
+		}
+	}
+	return &req, nil
 }
 
 // outFrame is one response queued for the connection's writer goroutine.
@@ -799,15 +696,15 @@ type outFrame struct {
 	resp   Response
 }
 
-// serveFrames serves one protocol-v3 connection: a reader loop (this
+// serveFrames serves one connection past its hello: a reader loop (this
 // goroutine) decodes request frames and fans them out, a single writer
 // goroutine serializes response frames (chunking large ones), and two
-// dispatch lanes run the work — a serial lane preserving v2's in-order
-// semantics for stateful verbs, and per-request goroutines for
-// concurrent-safe verbs, which still pass through the worker pool's
-// global backpressure. A per-connection in-flight cap (Config.MaxInFlight)
-// refuses further requests with ErrOverloaded instead of reading
-// unboundedly ahead.
+// dispatch lanes run the work — a serial lane keeping stateful verbs in
+// arrival order, and per-request goroutines for concurrent-safe verbs
+// (verbSpec.serial draws the line), which still pass through the worker
+// pool's global backpressure. A per-connection in-flight cap
+// (Config.MaxInFlight) refuses further requests with ErrOverloaded instead
+// of reading unboundedly ahead.
 func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader, cs *connState) {
 	s.v3Conns.Add(1)
 	defer s.v3Conns.Add(-1)
@@ -846,6 +743,7 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader, cs *connState) {
 	type frameJob struct {
 		stream uint32
 		wire   int
+		verb   *verbSpec
 		req    *Request
 	}
 	var inflight atomic.Int64
@@ -854,7 +752,7 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader, cs *connState) {
 	go func() {
 		defer close(serialDone)
 		for j := range serialQ {
-			resp := s.serve(cs, j.req, laneSerial, j.wire)
+			resp := s.serve(cs, j.verb, j.req, laneSerial, j.wire)
 			out <- outFrame{j.stream, resp}
 			inflight.Add(-1)
 		}
@@ -866,7 +764,10 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader, cs *connState) {
 		h, err := readFrameHeader(br)
 		if err != nil {
 			if errors.Is(err, errFrameTooLarge) {
-				out <- outFrame{h.stream, *refuseTooLarge(h.length)}
+				out <- outFrame{h.stream, Response{
+					Error: fmt.Sprintf("frame payload of %d bytes exceeds the %d-byte budget; split the request", h.length, maxFramePayload),
+					Code:  codeTooLarge,
+				}}
 				refused = true
 			}
 			break
@@ -897,17 +798,18 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader, cs *connState) {
 			out <- outFrame{h.stream, resp}
 			continue
 		}
-		if serialVerb(req.Op) {
-			serialQ <- frameJob{h.stream, h.length, req}
+		verb := verbFor(req.Op)
+		if verb.serial {
+			serialQ <- frameJob{h.stream, h.length, verb, req}
 			continue
 		}
 		wg.Add(1)
-		go func(stream uint32, wire int, req *Request) {
+		go func(stream uint32, wire int, verb *verbSpec, req *Request) {
 			defer wg.Done()
-			resp := s.serve(cs, req, laneConcurrent, wire)
+			resp := s.serve(cs, verb, req, laneConcurrent, wire)
 			out <- outFrame{stream, resp}
 			inflight.Add(-1)
-		}(h.stream, h.length, req)
+		}(h.stream, h.length, verb, req)
 	}
 	// Teardown: the writer keeps consuming until both lanes finish, so
 	// no in-flight dispatch can block on a full out channel.
@@ -918,14 +820,6 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader, cs *connState) {
 	<-writerDone
 	if refused {
 		drainBeforeClose(conn, br)
-	}
-}
-
-// refuseTooLarge is the v3 twin of the JSON path's over-budget refusal.
-func refuseTooLarge(n int) *Response {
-	return &Response{
-		Error: fmt.Sprintf("frame payload of %d bytes exceeds the %d-byte budget; split the request", n, maxFramePayload),
-		Code:  codeTooLarge,
 	}
 }
 
@@ -947,30 +841,16 @@ func (s *Server) ConnCount() int {
 }
 
 // Dispatch lanes, as the per-lane in-flight gauge and shed counters label
-// them: "line" is the v1/v2 one-request-at-a-time JSON loop, "serial" and
-// "concurrent" are protocol v3's two execution lanes, "queue" is the
-// worker pool's wait queue and "conn" the per-connection v3 in-flight cap
-// (the last two only shed, they never execute).
+// them: "serial" and "concurrent" are a connection's two execution lanes
+// (the handshake hello counts as serial), "queue" is the worker pool's
+// wait queue and "conn" the per-connection in-flight cap (the last two
+// only shed, they never execute).
 const (
-	laneLine       = "line"
 	laneSerial     = "serial"
 	laneConcurrent = "concurrent"
 	laneQueue      = "queue"
 	laneConn       = "conn"
 )
-
-// verbLabel maps a wire op onto the bounded verb label set the per-verb
-// metric families use — unknown ops collapse into "unknown" so a peer
-// spraying garbage cannot grow label cardinality without bound.
-func verbLabel(op string) string {
-	switch op := strings.ToLower(op); op {
-	case "query", "explain", "stats", "drain", "checkpoint", "ping", "hello",
-		"append", "mkobj", "revive", "read", "write", "freeze", "sync", "close",
-		"batch", "repljoin", "replstate", "replappend", "verify":
-		return op
-	}
-	return "unknown"
-}
 
 // resolveTenant pins req's effective tenant before fan-out: a hello
 // carrying one renames the connection, and any other request inherits the
@@ -990,80 +870,48 @@ func resolveTenant(cs *connState, req *Request) {
 // path: tenant quota admission first (an over-quota request is refused
 // with the "quota" code before anything executes or counts as served),
 // then per-verb request/latency/error accounting and the per-lane
-// in-flight gauge around dispatch. wireBytes is the request's encoded
-// size on the wire — the unit the staged-bytes/sec tenant quota charges
-// for record-staging verbs. Every execution lane funnels through here, so
+// in-flight gauge around the verb's handler and, for a verb that commits,
+// the durable-ack barrier. wireBytes is the request's encoded size on the
+// wire — the unit the staged-bytes/sec tenant quota charges for
+// record-staging verbs. Every execution lane funnels through here, so
 // /metrics, STATS and the wire all describe the same requests.
-func (s *Server) serve(cs *connState, req *Request, lane string, wireBytes int) Response {
-	verb := verbLabel(req.Op)
+func (s *Server) serve(cs *connState, verb *verbSpec, req *Request, lane string, wireBytes int) Response {
 	release, err := s.admitTenant(req.Tenant, verb, wireBytes)
 	if err != nil {
-		resp := errResponse(err)
-		resp.OK = false
-		return resp
+		return errResponse(err)
 	}
 	defer release()
-	s.met.requests.With(verb).Inc()
+	s.met.requests.With(verb.name).Inc()
 	s.met.inflight.With(lane).Add(1)
 	start := time.Now()
-	resp := s.dispatch(cs, req)
-	s.met.latency.With(verb).Observe(time.Since(start).Seconds())
+	resp := verb.handler(s, cs, req)
+	// Single-op requests carry their own durable acknowledgment; batches
+	// defer it to one Sync for the whole pipeline.
+	if resp.Error == "" && verb.commits {
+		if err := s.ackDurable(); err != nil {
+			resp = errResponse(err)
+		}
+	}
+	s.met.latency.With(verb.name).Observe(time.Since(start).Seconds())
 	s.met.inflight.With(lane).Add(-1)
 	if resp.Error != "" {
-		s.met.requestErrors.With(verb).Inc()
+		s.met.requestErrors.With(verb.name).Inc()
 	}
 	resp.OK = resp.Error == ""
 	return resp
 }
 
-func (s *Server) dispatch(cs *connState, req *Request) Response {
-	switch strings.ToLower(req.Op) {
-	case "query":
-		return s.doQuery(req)
-	case "explain":
-		return s.doExplain(req)
-	case "stats":
-		return Response{Stats: s.snapshotStats()}
-	case "drain":
-		return s.doDrain()
-	case "checkpoint":
-		return s.doCheckpointVerb()
-	case "append":
-		return s.doAppend(req)
-	case "ping":
-		return Response{}
-	case "hello":
-		return s.doHello(req)
-	case "mkobj", "revive", "read", "write", "freeze", "sync", "close":
-		resp := s.execDPAPI(cs, req)
-		// Single-op requests carry their own durable acknowledgment;
-		// batches defer it to one Sync for the whole pipeline.
-		if resp.Error == "" && dpapiCommits(req.Op) {
-			if err := s.ackDurable(); err != nil {
-				return errResponse(err)
-			}
-		}
-		return resp
-	case "batch":
-		return s.doBatch(cs, req)
-	case "repljoin":
-		return s.doReplJoin(req)
-	case "replstate":
-		return s.doReplState()
-	case "replappend":
-		return s.doReplAppend(req)
-	case "verify":
-		return s.doVerify(req)
-	default:
-		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
-	}
+func (s *Server) doPing(*connState, *Request) Response { return Response{} }
+
+func (s *Server) doStats(*connState, *Request) Response {
+	return Response{Stats: s.snapshotStats()}
 }
 
 // doReplJoin registers an announcing follower on a replication primary.
 // Joining is idempotent, so followers re-announce on a timer and survive
 // primary restarts (the restarted primary learns its followers from the
 // next round of announcements).
-func (s *Server) doReplJoin(req *Request) Response {
+func (s *Server) doReplJoin(_ *connState, req *Request) Response {
 	if s.cfg.Replicate == nil {
 		return Response{Error: "repljoin: this daemon is not a replication primary"}
 	}
@@ -1076,7 +924,7 @@ func (s *Server) doReplJoin(req *Request) Response {
 
 // doReplState reports the follower's durable replicated log size — the
 // offset the primary resumes streaming from.
-func (s *Server) doReplState() Response {
+func (s *Server) doReplState(*connState, *Request) Response {
 	if s.cfg.Follower == nil {
 		return Response{Error: "replstate: this daemon is not a replication follower"}
 	}
@@ -1088,7 +936,7 @@ func (s *Server) doReplState() Response {
 // the moment the primary's ack covers it. A chunk may end mid-frame; the
 // drain ingests the intact prefix and the torn tail completes on the next
 // chunk (waldo tolerates a torn active tail by design).
-func (s *Server) doReplAppend(req *Request) Response {
+func (s *Server) doReplAppend(_ *connState, req *Request) Response {
 	if s.cfg.Follower == nil {
 		return Response{Error: "replappend: this daemon is not a replication follower"}
 	}
@@ -1132,147 +980,103 @@ func errResponse(err error) Response {
 	return resp
 }
 
-// dpapiCommits reports whether a DPAPI verb can have staged records that
-// need the durable-ack barrier before the reply.
-func dpapiCommits(op string) bool {
-	switch strings.ToLower(op) {
-	case "mkobj", "write", "freeze", "sync":
-		return true
-	}
-	return false
+// doHello answers the handshake and describes the server's DPAPI surface:
+// the one protocol version it speaks and the volume prefix remote phantom
+// identities come from. A hello re-sent on a framed connection just
+// reports the same again.
+func (s *Server) doHello(*connState, *Request) Response {
+	return Response{Version: ProtocolVersion, Volume: s.reg.prefix}
 }
 
-// doHello negotiates the protocol version and describes the server's
-// DPAPI surface: the volume prefix remote phantom identities come from.
-// v1 clients never send hello; every v1 verb works without it. The
-// answer is min(client, server) capped by Config.MaxVersion; when it
-// lands at ≥3, the connection handler upgrades to binary framing right
-// after this reply (a hello re-sent on an already-framed connection
-// just reports the version again — there is no downgrade).
-func (s *Server) doHello(req *Request) Response {
-	return Response{Version: negotiateVersion(req.Version, s.cfg.MaxVersion), Volume: s.reg.prefix}
-}
+// The DPAPI handlers below each run one op against the connection's handle
+// table. They stage record commits but never call the durable-ack barrier
+// — the caller does, once per request (serve for single ops, doBatch once
+// for a whole pipeline).
 
-// negotiateVersion picks the protocol version for a hello asking for v
-// against a server capped at maxV: min of the two, where a missing or
-// absurd ask means "the server's best". Pure so the envelope fuzzer can
-// pin its invariant (the answer is always in [1, maxV]) directly.
-func negotiateVersion(v, maxV int) int {
-	if v <= 0 || v > maxV {
-		return maxV
-	}
-	return v
-}
-
-// execDPAPI runs one DPAPI op against the connection's handle table. It
-// stages record commits but never calls the durable-ack barrier — the
-// caller does, once per request (dispatch for single ops, doBatch once for
-// a whole pipeline).
-func (s *Server) execDPAPI(cs *connState, req *Request) Response {
-	switch strings.ToLower(req.Op) {
-	case "mkobj", "write", "freeze":
-		// A follower's log is a verbatim copy of the primary's; letting a
-		// client write here would fork it. Reads, revives and closes keep
-		// working — that is what read failover and hedging stand on.
-		if s.cfg.Follower != nil {
-			return errResponse(ErrReadOnly)
-		}
-	}
-	switch strings.ToLower(req.Op) {
-	case "mkobj":
-		s.mkobjs.Add(1)
-		obj := s.reg.mkobj()
-		ref := obj.Ref()
-		// A daemon with a durable log persists the allocation itself:
-		// after a crash the registry reseeds its allocator from the
-		// database, and an acknowledged identity that left no record
-		// would otherwise be re-issued to a different object. An
-		// ephemeral (memory-backed) daemon has no restart to survive, so
-		// it stages nothing.
-		if s.cfg.Append != nil {
-			if err := s.stageRecords([]record.Record{record.New(ref, AttrMkobj, record.Int(1))}); err != nil {
-				// The client never receives the handle: give back the
-				// reference mkobj took so the stillborn entry is not
-				// pinned forever.
-				s.reg.release(obj)
-				return Response{Error: err.Error()}
-			}
-		}
-		return Response{Handle: cs.open(obj), P: uint64(ref.PNode), Ver: uint32(ref.Version)}
-	case "revive":
-		s.revives.Add(1)
-		obj, err := s.reg.revive(pnode.Ref{PNode: pnode.PNode(req.P), Version: pnode.Version(req.Ver)})
-		if err != nil {
-			return dpapiError(err)
-		}
-		ref := obj.Ref()
-		return Response{Handle: cs.open(obj), P: uint64(ref.PNode), Ver: uint32(ref.Version)}
-	case "read":
-		obj, err := cs.lookup(req.Handle)
-		if err != nil {
-			return dpapiError(err)
-		}
-		data, ref := obj.readAt(req.Len, req.Off)
-		return Response{N: len(data), Data: data, P: uint64(ref.PNode), Ver: uint32(ref.Version)}
-	case "write":
-		return s.doDPAPIWrite(cs, req)
-	case "freeze":
-		obj, err := cs.lookup(req.Handle)
-		if err != nil {
-			return dpapiError(err)
-		}
-		newRef, chain, err := s.reg.an.Freeze(obj)
-		if err != nil {
-			return dpapiError(err)
-		}
-		if err := s.stageRecords([]record.Record{chain}); err != nil {
+func (s *Server) doMkobj(cs *connState, _ *Request) Response {
+	s.mkobjs.Add(1)
+	obj := s.reg.mkobj()
+	ref := obj.Ref()
+	// A daemon with a durable log persists the allocation itself: after a
+	// crash the registry reseeds its allocator from the database, and an
+	// acknowledged identity that left no record would otherwise be
+	// re-issued to a different object. An ephemeral (memory-backed) daemon
+	// has no restart to survive, so it stages nothing.
+	if s.cfg.Append != nil {
+		if err := s.stageRecords([]record.Record{record.New(ref, AttrMkobj, record.Int(1))}); err != nil {
+			// The client never receives the handle: give back the reference
+			// mkobj took so the stillborn entry is not pinned forever.
+			s.reg.release(obj)
 			return Response{Error: err.Error()}
 		}
-		return Response{Ver: uint32(newRef.Version)}
-	case "sync":
-		// Every disclosed record was committed at write time; pass_sync
-		// only has to force the backlog onto stable storage, which the
-		// caller's durable-ack barrier does.
-		if _, err := cs.lookup(req.Handle); err != nil {
-			return dpapiError(err)
-		}
-		return Response{}
-	case "close":
-		obj, err := cs.lookup(req.Handle)
-		if err != nil {
-			return dpapiError(err)
-		}
-		// Tombstone, not delete: later ops on this handle are ErrClosed,
-		// and the object itself stays revivable (§6.5).
-		cs.handles[req.Handle] = nil
-		s.reg.release(obj)
-		return Response{}
-	default:
-		return Response{Error: fmt.Sprintf("op %q is not a DPAPI verb", req.Op)}
 	}
+	return Response{Handle: cs.open(obj), P: uint64(ref.PNode), Ver: uint32(ref.Version)}
 }
 
-// doDPAPIWrite is pass_write on the wire: a record bundle and a data
-// buffer applied as one unit, records first (the WAP ordering Lasagna
-// enforces locally). Handle 0 is the handle-less disclose path — records
-// are committed raw, with no analyzer pass, because they come from a layer
-// that has already analyzed them (the v1 "append" alias and the
-// distributor's materialization sink both land here).
-func (s *Server) doDPAPIWrite(cs *connState, req *Request) Response {
-	// A request that arrived over a v3 binary frame already carries its
-	// records in native form — straight off internal/record's codec, no
-	// JSON/base64 round-trip. The WireRecord path remains for JSON lines.
-	recs := req.recs
-	if recs == nil {
-		recs = make([]record.Record, 0, len(req.Records))
-		for _, wr := range req.Records {
-			r, err := decodeRecord(wr)
-			if err != nil {
-				return Response{Error: err.Error()}
-			}
-			recs = append(recs, r)
-		}
+func (s *Server) doRevive(cs *connState, req *Request) Response {
+	s.revives.Add(1)
+	obj, err := s.reg.revive(pnode.Ref{PNode: pnode.PNode(req.P), Version: pnode.Version(req.Ver)})
+	if err != nil {
+		return dpapiError(err)
 	}
+	ref := obj.Ref()
+	return Response{Handle: cs.open(obj), P: uint64(ref.PNode), Ver: uint32(ref.Version)}
+}
+
+func (s *Server) doRead(cs *connState, req *Request) Response {
+	obj, err := cs.lookup(req.Handle)
+	if err != nil {
+		return dpapiError(err)
+	}
+	data, ref := obj.readAt(req.Len, req.Off)
+	return Response{N: len(data), Data: data, P: uint64(ref.PNode), Ver: uint32(ref.Version)}
+}
+
+func (s *Server) doFreeze(cs *connState, req *Request) Response {
+	obj, err := cs.lookup(req.Handle)
+	if err != nil {
+		return dpapiError(err)
+	}
+	newRef, chain, err := s.reg.an.Freeze(obj)
+	if err != nil {
+		return dpapiError(err)
+	}
+	if err := s.stageRecords([]record.Record{chain}); err != nil {
+		return Response{Error: err.Error()}
+	}
+	return Response{Ver: uint32(newRef.Version)}
+}
+
+// doSync is pass_sync: every disclosed record was committed at write time,
+// so it only has to force the backlog onto stable storage, which the
+// caller's durable-ack barrier does.
+func (s *Server) doSync(cs *connState, req *Request) Response {
+	if _, err := cs.lookup(req.Handle); err != nil {
+		return dpapiError(err)
+	}
+	return Response{}
+}
+
+func (s *Server) doClose(cs *connState, req *Request) Response {
+	obj, err := cs.lookup(req.Handle)
+	if err != nil {
+		return dpapiError(err)
+	}
+	// Tombstone, not delete: later ops on this handle are ErrClosed, and
+	// the object itself stays revivable (§6.5).
+	cs.handles[req.Handle] = nil
+	s.reg.release(obj)
+	return Response{}
+}
+
+// doWrite is pass_write on the wire: a record bundle and a data buffer
+// applied as one unit, records first (the WAP ordering Lasagna enforces
+// locally). Handle 0 is the handle-less disclose path — records are
+// committed raw, with no analyzer pass, because they come from a layer
+// that has already analyzed them (the distributor's materialization sink
+// lands here).
+func (s *Server) doWrite(cs *connState, req *Request) Response {
+	recs := req.recs
 	if req.Handle == 0 {
 		if len(req.Data) > 0 {
 			return Response{Error: "passd: handle-less write cannot carry data"}
@@ -1325,17 +1129,19 @@ func (s *Server) doBatch(cs *connState, req *Request) Response {
 	for i := range req.Ops {
 		op := &req.Ops[i]
 		var r Response
-		if strings.EqualFold(op.Op, "batch") {
+		if verb := verbFor(op.Op); verb.batchable {
+			commits = commits || verb.commits
+			r = verb.handler(s, cs, op)
+		} else if verb.name == "batch" {
 			r = Response{Error: "passd: batches do not nest"}
 		} else {
-			commits = commits || dpapiCommits(op.Op)
-			r = s.execDPAPI(cs, op)
+			r = Response{Error: fmt.Sprintf("op %q is not a DPAPI verb", op.Op)}
 		}
 		r.OK = r.Error == ""
 		resp.Ops = append(resp.Ops, r)
 	}
 	// Read-only pipelines (reads, revives, closes) stage nothing and owe
-	// no fsync; mirror the single-op dispatch.
+	// no fsync; mirror the single-op path in serve.
 	if commits {
 		if err := s.ackDurable(); err != nil {
 			return errResponse(err)
@@ -1345,8 +1151,7 @@ func (s *Server) doBatch(cs *connState, req *Request) Response {
 }
 
 // stageRecords is the single commit path for provenance arriving over the
-// wire — DPAPI writes, freezes, batches and the v1 append alias all pass
-// through it. Records go to the backing log (Config.Append) when the
+// wire — DPAPI writes, freezes and batches all pass through it. Records go to the backing log (Config.Append) when the
 // daemon owns one, else straight into the database. Durability is the
 // caller's ackDurable barrier, so a pipelined batch pays one Sync total.
 func (s *Server) stageRecords(recs []record.Record) error {
@@ -1425,7 +1230,7 @@ func (s *Server) acquireWorker() func() {
 	return func() { <-s.workers }
 }
 
-func (s *Server) doQuery(req *Request) Response {
+func (s *Server) doQuery(_ *connState, req *Request) Response {
 	s.queries.Add(1)
 	release := s.acquireWorker()
 	if release == nil {
@@ -1477,7 +1282,7 @@ func (s *Server) doQuery(req *Request) Response {
 	return Response{Columns: r.cols, Rows: r.rows, Elapsed: r.elapsed}
 }
 
-func (s *Server) doExplain(req *Request) Response {
+func (s *Server) doExplain(_ *connState, req *Request) Response {
 	q, err := pql.Parse(req.Query)
 	if err != nil {
 		return Response{Error: err.Error()}
@@ -1485,7 +1290,7 @@ func (s *Server) doExplain(req *Request) Response {
 	return Response{Plan: pql.PlanQuery(q).Describe()}
 }
 
-func (s *Server) doDrain() Response {
+func (s *Server) doDrain(*connState, *Request) Response {
 	s.drains.Add(1)
 	if err := s.w.Drain(); err != nil {
 		return Response{Error: err.Error()}
@@ -1495,7 +1300,7 @@ func (s *Server) doDrain() Response {
 }
 
 // doCheckpointVerb forces a checkpoint now, regardless of triggers.
-func (s *Server) doCheckpointVerb() Response {
+func (s *Server) doCheckpointVerb(*connState, *Request) Response {
 	if s.cfg.Checkpoints == nil {
 		return Response{Error: "checkpointing disabled (no checkpoint store configured)"}
 	}
@@ -1509,32 +1314,6 @@ func (s *Server) doCheckpointVerb() Response {
 		Records:       info.Records,
 		SnapshotBytes: info.SnapshotBytes,
 	}}
-}
-
-// doAppend is the v1 "append" verb, retained as a deprecated alias over
-// the protocol-v2 write path: a handle-less write plus the same
-// durable-ack barrier every v2 op uses. Its former private decode-and-log
-// implementation is gone — stageRecords/ackDurable is the one durable-ack
-// code path in this server. The reply still means what it always did: an
-// acknowledged record is on stable storage and survives a SIGKILL.
-func (s *Server) doAppend(req *Request) Response {
-	// v1 contract: append promises on-disk durability, so it stays
-	// refused on a daemon with no backing log. (v2 writes accept the
-	// weaker process-lifetime durability a memory-backed server offers.)
-	if s.cfg.Follower != nil {
-		return errResponse(ErrReadOnly)
-	}
-	if s.cfg.Append == nil {
-		return Response{Error: "append disabled (server owns no writable log)"}
-	}
-	resp := s.doDPAPIWrite(&connState{}, &Request{Op: "write", Records: req.Records, recs: req.recs})
-	if resp.Error != "" {
-		return resp
-	}
-	if err := s.ackDurable(); err != nil {
-		return errResponse(err)
-	}
-	return Response{Appended: resp.Appended}
 }
 
 func (s *Server) snapshotStats() *Stats {

@@ -117,7 +117,7 @@ func (s *Server) rehydrated(op func(m *mmr.MMR) error) error {
 // between two tree sizes. Everything returned is client-checkable with
 // internal/mmr's verifiers and internal/signer's Verify — the daemon is
 // not trusted, it is audited.
-func (s *Server) doVerify(req *Request) Response {
+func (s *Server) doVerify(_ *connState, req *Request) Response {
 	t := s.cfg.Tamper
 	if t == nil {
 		return Response{Error: "verify: tamper evidence is not enabled on this daemon"}

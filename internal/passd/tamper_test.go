@@ -167,7 +167,7 @@ func TestVerifyVerbServesCheckableProofs(t *testing.T) {
 	prim, _ := startTamperPrimary(t, 1, time.Second)
 	c := dialClient(t, prim.srv)
 
-	if _, err := c.Append(replRecs(0, 15)); err != nil {
+	if err := c.AppendProvenance(replRecs(0, 15)); err != nil {
 		t.Fatal(err)
 	}
 	first, err := c.VerifyRoot(0)
@@ -189,7 +189,7 @@ func TestVerifyVerbServesCheckableProofs(t *testing.T) {
 		t.Fatal("signature verified a modified statement")
 	}
 
-	if _, err := c.Append(replRecs(15, 15)); err != nil {
+	if err := c.AppendProvenance(replRecs(15, 15)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -254,7 +254,7 @@ func TestReplicatedRootsConverge(t *testing.T) {
 	prim, fs := startTamperGroup(t, 2, 2, 2*time.Second)
 	c := dialClient(t, prim.srv)
 
-	if _, err := c.Append(replRecs(0, 40)); err != nil {
+	if err := c.AppendProvenance(replRecs(0, 40)); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats()
@@ -308,12 +308,12 @@ func TestForkedPrimaryRefused(t *testing.T) {
 
 	// Shared history, then divergence: A appends X; B (same history,
 	// byte-identical log prefix) appends Y of the same encoded length.
-	if _, err := c.Append(replRecs(0, 10)); err != nil {
+	if err := c.AppendProvenance(replRecs(0, 10)); err != nil {
 		t.Fatal(err)
 	}
 	divergeA := []record.Record{record.New(pnode.Ref{PNode: 900, Version: 1}, record.AttrName, record.StringVal("/fork/AAAA"))}
 	divergeB := []record.Record{record.New(pnode.Ref{PNode: 900, Version: 1}, record.AttrName, record.StringVal("/fork/BBBB"))}
-	if _, err := c.Append(divergeA); err != nil {
+	if err := c.AppendProvenance(divergeA); err != nil {
 		t.Fatal(err)
 	}
 	fc := dialClient(t, f.srv)
@@ -385,7 +385,7 @@ func TestForkedPrimaryRefused(t *testing.T) {
 
 	// Fail closed: with its only follower poisoned, the primary cannot
 	// reach quorum 2, so acknowledged writes stop instead of lying.
-	if _, err := c.Append(replRecs(50, 5)); !errors.Is(err, ErrUnavailable) {
+	if err := c.AppendProvenance(replRecs(50, 5)); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("append with a poisoned follower: %v, want ErrUnavailable", err)
 	}
 }
@@ -399,7 +399,7 @@ func TestForkRefusalSurvivesRestartOfFollower(t *testing.T) {
 	f := fs[0]
 	c := dialClient(t, prim.srv)
 
-	if _, err := c.Append(replRecs(0, 5)); err != nil {
+	if err := c.AppendProvenance(replRecs(0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	fc := dialClient(t, f.srv)

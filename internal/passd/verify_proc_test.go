@@ -107,7 +107,7 @@ func TestPassverifyAuditProc(t *testing.T) {
 			default:
 			}
 			// Errors are expected once the daemon dies under us.
-			if _, err := c.Append(replRecs(b*20, 20)); err != nil {
+			if err := c.AppendProvenance(replRecs(b*20, 20)); err != nil {
 				return
 			}
 		}

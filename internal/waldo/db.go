@@ -6,6 +6,7 @@
 package waldo
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -93,11 +94,6 @@ type kvStore interface {
 // two answer queries with identical code.
 type reader struct {
 	store kvStore
-
-	// legacy marks a database loaded from a snapshot that predates the
-	// N|/T| reverse indexes; NameOf/TypeOf then fall back to scanning. It
-	// is set during Load, before the database is shared.
-	legacy bool
 }
 
 // DB is the indexed provenance database.
@@ -242,12 +238,6 @@ func (db *DB) ApplyBatch(recs []record.Record) {
 			buf = appendHex64(buf, uint64(r.Subject.PNode))
 			kvs = append(kvs, kvdb.KV{Key: mk()})
 
-			// A legacy-snapshot database keeps answering NameOf/TypeOf
-			// from scans: seeding the reverse index here could shadow a
-			// newer label that exists only in the un-indexed legacy rows.
-			if db.legacy {
-				continue
-			}
 			// Reverse index: value carries <ver8x><seq8x> so the most
 			// recent record wins regardless of application order.
 			rv := make([]byte, 0, 16+len(s))
@@ -345,7 +335,7 @@ func (db *DB) ReadView() *ReadView {
 	defer db.mu.Unlock()
 	kv := db.kv.View()
 	return &ReadView{
-		reader:    reader{store: kv, legacy: db.legacy},
+		reader:    reader{store: kv},
 		kv:        kv,
 		gen:       db.gen.Load(),
 		records:   db.records,
@@ -549,56 +539,21 @@ func (r *reader) labelScan(space, label string) []pnode.PNode {
 }
 
 // NameOf returns the most recent NAME value of a pnode across versions: an
-// O(log n) point lookup in the reverse name index, with a bounded per-pnode
-// scan as the fallback for pre-index snapshots.
+// O(log n) point lookup in the reverse name index.
 func (r *reader) NameOf(pn pnode.PNode) (string, bool) {
 	if v, ok := r.store.Get("N|" + pnKey(pn)); ok && len(v) >= 16 {
 		return string(v[16:]), true
 	}
-	if !r.legacy {
-		return "", false
-	}
-	name, found := "", false
-	prefix := "a|" + pnKey(pn) + "|"
-	r.store.AscendPrefix(prefix, func(k string, v []byte) bool {
-		rest := k[len(prefix):] // ver|attr|seq
-		if len(rest) > 9 && rest[9:len(rest)-9] == string(record.AttrName) {
-			if val, _, err := record.DecodeValue(v); err == nil {
-				if s, ok := val.AsString(); ok {
-					name, found = s, true
-				}
-			}
-		}
-		return true
-	})
-	return name, found
+	return "", false
 }
 
 // TypeOf returns the TYPE of a pnode, if recorded: an O(log n) point
-// lookup in the reverse type index. Only a database loaded from a snapshot
-// older than the index falls back to walking the t| space.
+// lookup in the reverse type index.
 func (r *reader) TypeOf(pn pnode.PNode) (string, bool) {
 	if v, ok := r.store.Get("T|" + pnKey(pn)); ok && len(v) >= 16 {
 		return string(v[16:]), true
 	}
-	if !r.legacy {
-		return "", false
-	}
-	typ, found := "", false
-	r.store.AscendPrefix("t|", func(k string, _ []byte) bool {
-		body := k[2:]
-		for i := 0; i < len(body); i++ {
-			if body[i] == 0 {
-				if parsePN(body[i+1:]) == pn {
-					typ, found = body[:i], true
-					return false
-				}
-				break
-			}
-		}
-		return true
-	})
-	return typ, found
+	return "", false
 }
 
 // MaxPNode returns the highest pnode the database knows — as a record
@@ -660,10 +615,24 @@ func (r *reader) AllRefs() []pnode.Ref {
 // on load.
 func (db *DB) Save(w io.Writer) error { return db.kv.Save(w) }
 
+// checkReverseIndexes refuses a snapshot with label indexes but no N|/T|
+// reverse indexes (four O(log n) lookups): it predates them, and NameOf /
+// TypeOf would silently answer "unknown" for every object in it.
+func checkReverseIndexes(kv *kvdb.DB) error {
+	if (kv.HasPrefix("n|") || kv.HasPrefix("t|")) &&
+		!kv.HasPrefix("N|") && !kv.HasPrefix("T|") {
+		return errors.New("waldo: snapshot predates the N|/T| reverse indexes; discard it and re-ingest from the provenance log")
+	}
+	return nil
+}
+
 // Load reads a database snapshot.
 func Load(r io.Reader) (*DB, error) {
 	kv, err := kvdb.Load(r)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkReverseIndexes(kv); err != nil {
 		return nil, err
 	}
 	db := &DB{
@@ -692,12 +661,6 @@ func Load(r io.Reader) (*DB, error) {
 			db.idxBytes += int64(len(k) + len(v))
 			return true
 		})
-	}
-	// A snapshot with label indexes but no reverse indexes predates them:
-	// serve NameOf/TypeOf by scanning, as the old code did.
-	if (kv.HasPrefix("n|") || kv.HasPrefix("t|")) &&
-		!kv.HasPrefix("N|") && !kv.HasPrefix("T|") {
-		db.legacy = true
 	}
 	return db, nil
 }
@@ -728,7 +691,10 @@ func LoadCheckpointChain(full []byte, deltas [][]byte, records, provBytes, idxBy
 			return nil, fmt.Errorf("delta %d of %d: %w", i+1, len(deltas), err)
 		}
 	}
-	db := &DB{
+	if err := checkReverseIndexes(kv); err != nil {
+		return nil, err
+	}
+	return &DB{
 		reader:    reader{store: kv},
 		kv:        kv,
 		seqs:      make(map[pnode.Ref]map[record.Attr]int),
@@ -736,12 +702,5 @@ func LoadCheckpointChain(full []byte, deltas [][]byte, records, provBytes, idxBy
 		provBytes: provBytes,
 		idxBytes:  idxBytes,
 		lazySeqs:  true,
-	}
-	// Checkpoints are written by current code, so the legacy probe is only
-	// a cheap safety net (four O(log n) lookups).
-	if (kv.HasPrefix("n|") || kv.HasPrefix("t|")) &&
-		!kv.HasPrefix("N|") && !kv.HasPrefix("T|") {
-		db.legacy = true
-	}
-	return db, nil
+	}, nil
 }

@@ -3,6 +3,7 @@ package waldo
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -322,10 +323,11 @@ func TestTypeOfNameOfTargeted(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotFallback loads a snapshot stripped of the reverse
-// indexes (what a pre-fast-path database file looks like) and checks
-// NameOf/TypeOf still answer via the fallback scans.
-func TestLegacySnapshotFallback(t *testing.T) {
+// TestPreIndexSnapshotRefused loads a snapshot stripped of the reverse
+// indexes (what a pre-fast-path database file looks like) and checks both
+// load paths fail closed, naming the remedy, instead of serving a database
+// whose NameOf/TypeOf know nothing.
+func TestPreIndexSnapshotRefused(t *testing.T) {
 	db := NewDB()
 	db.Apply(record.New(ref(4, 1), record.AttrType, record.StringVal(record.TypeProc)))
 	db.Apply(record.New(ref(4, 1), record.AttrName, record.StringVal("/bin/sh")))
@@ -337,26 +339,11 @@ func TestLegacySnapshotFallback(t *testing.T) {
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
+	image := buf.Bytes()
+	if _, err := Load(bytes.NewReader(image)); err == nil || !strings.Contains(err.Error(), "re-ingest") {
+		t.Fatalf("Load of a stripped snapshot: %v, want a refusal naming re-ingest", err)
 	}
-	if !loaded.legacy {
-		t.Fatal("stripped snapshot not detected as legacy")
-	}
-	if typ, ok := loaded.TypeOf(4); !ok || typ != record.TypeProc {
-		t.Fatalf("legacy TypeOf(4) = %q,%v", typ, ok)
-	}
-	if name, ok := loaded.NameOf(4); !ok || name != "/bin/bash" {
-		t.Fatalf("legacy NameOf(4) = %q,%v", name, ok)
-	}
-	if _, ok := loaded.TypeOf(99); ok {
-		t.Fatal("legacy TypeOf(99) found a type for an unknown pnode")
-	}
-	// An out-of-order older-version record applied to a legacy database
-	// must not seed the reverse index and shadow the newer legacy name.
-	loaded.Apply(record.New(ref(4, 1), record.AttrName, record.StringVal("/bin/dash")))
-	if name, ok := loaded.NameOf(4); !ok || name != "/bin/bash" {
-		t.Fatalf("legacy NameOf(4) after out-of-order apply = %q,%v, want /bin/bash", name, ok)
+	if _, err := LoadCheckpoint(image, 3, 0, 0); err == nil || !strings.Contains(err.Error(), "re-ingest") {
+		t.Fatalf("LoadCheckpoint of a stripped snapshot: %v, want a refusal naming re-ingest", err)
 	}
 }

@@ -168,7 +168,7 @@ func (m *Machine) Serve(cfg passd.Config) (*passd.Server, error) {
 // cmd/passd) and stacks this machine's phantom objects on it: from here
 // on, pass_mkobj and pass_reviveobj issued by processes on this machine
 // return remote DPAPI objects whose provenance is disclosed over the
-// protocol-v2 wire and lives in the daemon's database. Components written
+// passd wire and lives in the daemon's database. Components written
 // against dpapi.Object — the Kepler PASS recorder, the provenance-aware
 // Python runtime — need no changes; this is the paper's layer stacking
 // (§5.2) across a process and network boundary. The connection is closed
