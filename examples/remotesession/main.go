@@ -28,10 +28,7 @@ import (
 
 	"passv2/internal/dpapi"
 	"passv2/internal/passd"
-	"passv2/internal/provlog"
 	"passv2/internal/record"
-	"passv2/internal/vfs"
-	"passv2/internal/waldo"
 )
 
 func main() {
@@ -143,40 +140,20 @@ func main() {
 	fmt.Printf("\nancestry of the downloaded file:\n%s", res.Format())
 }
 
-// startLocalDaemon runs a passd server over a write-through provenance
-// log in a temp directory — the same arrangement as cmd/passd -logdir,
-// so every acknowledged disclosure is fsynced.
+// startLocalDaemon opens a passd daemon over a write-through provenance
+// log in a temp directory — cmd/passd -logdir, through the same
+// constructor — so every acknowledged disclosure is fsynced.
 func startLocalDaemon() (*passd.Server, func()) {
 	dir, err := os.MkdirTemp("", "remotesession-*")
 	if err != nil {
 		log.Fatal(err)
 	}
-	dfs, err := vfs.NewDirFS(dir)
+	d, err := passd.Open(passd.DaemonConfig{LogDir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
-	plog, err := provlog.NewWriter(dfs, "/", 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w := waldo.New()
-	w.Attach(waldo.NewLogVolume("session-log", dfs, plog))
-	srv, err := passd.Serve(w, passd.Config{
-		Append: func(recs []record.Record) error {
-			for _, r := range recs {
-				if err := plog.AppendRecord(0, r); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Sync: plog.Sync,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return srv, func() {
-		srv.Close()
+	return d.Server, func() {
+		d.Close()
 		os.RemoveAll(dir)
 	}
 }

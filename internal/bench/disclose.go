@@ -9,10 +9,7 @@ import (
 
 	"passv2/internal/passd"
 	"passv2/internal/pnode"
-	"passv2/internal/provlog"
 	"passv2/internal/record"
-	"passv2/internal/vfs"
-	"passv2/internal/waldo"
 )
 
 // DiscloseResult reports remote disclosure throughput:
@@ -35,8 +32,9 @@ type DiscloseResult struct {
 }
 
 // Disclose measures remote DPAPI disclosure against a real daemon setup:
-// a passd server over a write-through provenance log on the local file
-// system (fsync on every acknowledgment, as cmd/passd -logdir runs), a
+// a passd daemon over a write-through provenance log on the local file
+// system (fsync on every acknowledgment, opened as cmd/passd -logdir
+// opens it, without MMR or checkpoints), a
 // TCP client, one phantom object, and `records` distinct INPUT records
 // disclosed twice — once as single-record round-trips, once pipelined in
 // batches of `batch`.
@@ -48,32 +46,12 @@ func Disclose(records, batch int) (DiscloseResult, error) {
 		return res, err
 	}
 	defer os.RemoveAll(dir)
-	dfs, err := vfs.NewDirFS(dir)
+	d, err := passd.Open(passd.DaemonConfig{LogDir: dir})
 	if err != nil {
 		return res, err
 	}
-	log, err := provlog.NewWriter(dfs, "/", 0)
-	if err != nil {
-		return res, err
-	}
-	w := waldo.New()
-	w.Attach(waldo.NewLogVolume("bench", dfs, log))
-	srv, err := passd.Serve(w, passd.Config{
-		Append: func(recs []record.Record) error {
-			for _, r := range recs {
-				if err := log.AppendRecord(0, r); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Sync: log.Sync,
-	})
-	if err != nil {
-		return res, err
-	}
-	defer srv.Close()
-	c, err := passd.Dial(srv.Addr())
+	defer d.Close()
+	c, err := passd.Dial(d.Server.Addr())
 	if err != nil {
 		return res, err
 	}

@@ -11,11 +11,7 @@ import (
 	"passv2/internal/netfault"
 	"passv2/internal/passd"
 	"passv2/internal/pnode"
-	"passv2/internal/provlog"
 	"passv2/internal/record"
-	"passv2/internal/replica"
-	"passv2/internal/vfs"
-	"passv2/internal/waldo"
 )
 
 // ReplicateResult reports tail latency of cluster reads over a replicated
@@ -48,39 +44,6 @@ type ReplicateResult struct {
 	P99Improvement float64 `json:"p99_improvement"`
 }
 
-// replBenchNode is one follower daemon plus its fault injector.
-type replBenchNode struct {
-	srv *passd.Server
-	flt *netfault.Faults
-}
-
-func newReplBenchFollower(dir string) (*replBenchNode, error) {
-	dfs, err := vfs.NewDirFS(dir)
-	if err != nil {
-		return nil, err
-	}
-	log, err := provlog.NewWriter(dfs, "/", 0)
-	if err != nil {
-		return nil, err
-	}
-	w := waldo.New()
-	w.Attach(waldo.NewLogVolume("bench", dfs, log))
-	flog, err := replica.OpenFollowerLog(dfs, "/"+provlog.CurrentName)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	flt := netfault.New()
-	srv, err := passd.Serve(w, passd.Config{Follower: flog, Listener: flt.Listener(ln)})
-	if err != nil {
-		return nil, err
-	}
-	return &replBenchNode{srv: srv, flt: flt}, nil
-}
-
 // Replicate measures hedged vs unhedged cluster reads against a real
 // replicated group: a primary (quorum 2) over an on-disk log, two
 // followers fed by the replication stream, and a netfault write delay of
@@ -99,62 +62,38 @@ func Replicate(records, queries int, slowDelay, hedgeDelay time.Duration) (Repli
 	}
 	defer os.RemoveAll(root)
 
-	// Primary: the -replicate wiring from cmd/passd, in-process.
-	pdir := root + "/primary"
-	if err := os.Mkdir(pdir, 0o755); err != nil {
-		return res, err
-	}
-	dfs, err := vfs.NewDirFS(pdir)
-	if err != nil {
-		return res, err
-	}
-	log, err := provlog.NewWriter(dfs, "/", 0)
-	if err != nil {
-		return res, err
-	}
-	w := waldo.New()
-	w.Attach(waldo.NewLogVolume("bench", dfs, log))
-	src, err := replica.OpenFileSource(dfs, "/"+provlog.CurrentName)
-	if err != nil {
-		return res, err
-	}
-	prim := replica.NewPrimary(src, replica.Config{
+	// Primary: cmd/passd -replicate 2, in-process.
+	prim, err := passd.Open(passd.DaemonConfig{
+		LogDir:        root + "/primary",
 		Quorum:        2,
 		CommitTimeout: 10 * time.Second,
-		Dial: passd.PeerDialer(passd.Options{
-			DialTimeout:    2 * time.Second,
-			RequestTimeout: 10 * time.Second,
-		}),
-	})
-	defer prim.Close()
-	srv, err := passd.Serve(w, passd.Config{
-		Append: func(recs []record.Record) error {
-			for _, r := range recs {
-				if err := log.AppendRecord(0, r); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Sync:      log.Sync,
-		Replicate: prim,
+		PeerDial:      passd.Options{DialTimeout: 2 * time.Second, RequestTimeout: 10 * time.Second},
 	})
 	if err != nil {
 		return res, err
 	}
-	defer srv.Close()
+	defer prim.Close()
+	srv := prim.Server
 
-	followers := make([]*replBenchNode, 2)
+	// Followers: cmd/passd -join, each behind a netfault listener.
+	followers := make([]*passd.Daemon, 2)
+	faults := make([]*netfault.Faults, 2)
 	for i := range followers {
-		fdir := fmt.Sprintf("%s/follower%d", root, i)
-		if err := os.Mkdir(fdir, 0o755); err != nil {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
 			return res, err
 		}
-		if followers[i], err = newReplBenchFollower(fdir); err != nil {
+		faults[i] = netfault.New()
+		followers[i], err = passd.Open(passd.DaemonConfig{
+			Config: passd.Config{Listener: faults[i].Listener(ln)},
+			LogDir: fmt.Sprintf("%s/follower%d", root, i),
+			Join:   srv.Addr(),
+		})
+		if err != nil {
 			return res, err
 		}
-		defer followers[i].srv.Close()
-		if err := passd.Announce(srv.Addr(), followers[i].srv.Addr(), 5*time.Second); err != nil {
+		defer followers[i].Close()
+		if err := passd.Announce(srv.Addr(), followers[i].Server.Addr(), 5*time.Second); err != nil {
 			return res, err
 		}
 	}
@@ -188,14 +127,14 @@ func Replicate(records, queries int, slowDelay, hedgeDelay time.Duration) (Repli
 	}
 	q := fmt.Sprintf(`select F from Provenance.file as F where F.name = "/bench/%d"`, records-1)
 	for _, f := range followers {
-		if err := waitReplRows(f.srv.Addr(), q); err != nil {
+		if err := waitReplRows(f.Server.Addr(), q); err != nil {
 			return res, err
 		}
 	}
 
 	// One follower straggles: every response it writes is delayed.
-	followers[0].flt.SetWriteDelay(slowDelay)
-	addrs := []string{srv.Addr(), followers[0].srv.Addr(), followers[1].srv.Addr()}
+	faults[0].SetWriteDelay(slowDelay)
+	addrs := []string{srv.Addr(), followers[0].Server.Addr(), followers[1].Server.Addr()}
 
 	// Arm 1: failover only. The rotation lands a third of the queries on
 	// the slow follower and each eats the full delay.

@@ -79,16 +79,6 @@ func NewStore(fs vfs.FS, dir string, retain int) (*Store, error) {
 	return &Store{fs: fs, dir: dir, retain: retain}, nil
 }
 
-// OpenDir opens a checkpoint store on a real OS directory — the form the
-// passd daemon uses (-checkpoint-dir).
-func OpenDir(path string, retain int) (*Store, error) {
-	dfs, err := vfs.NewDirFS(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewStore(dfs, "/", retain)
-}
-
 // Dir returns the store's directory path within its FS.
 func (s *Store) Dir() string { return s.dir }
 

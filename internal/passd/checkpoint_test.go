@@ -4,26 +4,22 @@ import (
 	"testing"
 	"time"
 
-	"passv2/internal/checkpoint"
 	"passv2/internal/pnode"
-	"passv2/internal/provlog"
 	"passv2/internal/record"
 	"passv2/internal/vfs"
-	"passv2/internal/waldo"
 )
 
-// logBackedWaldo builds a Waldo tailing a write-through log on a MemFS —
-// the in-process twin of the daemon's -logdir arrangement.
-func logBackedWaldo(t *testing.T) (*waldo.Waldo, *provlog.Writer, *vfs.MemFS) {
+// openMemDaemon opens a daemon whose log and checkpoints live on the
+// given MemFSes, through the constructor cmd/passd -logdir
+// -checkpoint-dir uses: no drain loop, no MMR, three generations kept.
+func openMemDaemon(t *testing.T, logFS, ckptFS *vfs.MemFS, cfg Config) *Daemon {
 	t.Helper()
-	lower := vfs.NewMemFS("log", nil)
-	log, err := provlog.NewWriter(lower, "/log", 1<<20)
+	d, err := Open(DaemonConfig{Config: cfg, LogFS: logFS, CheckpointFS: ckptFS, Retain: 3})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Open: %v", err)
 	}
-	w := waldo.New()
-	w.Attach(waldo.NewLogVolume("vol1", lower, log))
-	return w, log, lower
+	t.Cleanup(func() { d.Close() })
+	return d
 }
 
 func nameRec(i int) record.Record {
@@ -37,23 +33,8 @@ func nameRec(i int) record.Record {
 // server from the store, and confirm it resumes with the full database
 // and only tail replay.
 func TestServerCheckpointVerb(t *testing.T) {
-	w, log, lower := logBackedWaldo(t)
-	ckfs := vfs.NewMemFS("ck", nil)
-	store, err := checkpoint.NewStore(ckfs, "/ck", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := startServer(t, w, Config{
-		Checkpoints: store,
-		Append: func(recs []record.Record) error {
-			for _, r := range recs {
-				if err := log.AppendRecord(0, r); err != nil {
-					return err
-				}
-			}
-			return log.Flush()
-		},
-	})
+	lower, ckfs := vfs.NewMemFS("log", nil), vfs.NewMemFS("ck", nil)
+	srv := openMemDaemon(t, lower, ckfs, Config{}).Server
 	c := dialClient(t, srv)
 
 	var batch []record.Record
@@ -96,27 +77,15 @@ func TestServerCheckpointVerb(t *testing.T) {
 
 	// "Crash": abandon the first server without Close (its final flush
 	// must not be what saves us) and recover a fresh one from the store.
-	rec, err := store.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := openMemDaemon(t, lower, ckfs, Config{})
+	rec := d2.Boot.Recovered
 	if rec.DB == nil || rec.Gen != info.Gen {
 		t.Fatalf("recovered %+v", rec)
 	}
-	w2 := waldo.New()
-	w2.DB = rec.DB
-	log2, err := provlog.NewWriter(lower, "/log", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2.Attach(waldo.NewLogVolume("vol1", lower, log2))
-	if missing := w2.RestoreVolumes(rec.Volumes); len(missing) != 0 {
+	if missing := d2.Boot.DroppedVolumes; len(missing) != 0 {
 		t.Fatalf("unmatched volumes %v", missing)
 	}
-	if err := w2.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	srv2 := startServer(t, w2, Config{Recovered: rec})
+	srv2 := d2.Server
 	c2 := dialClient(t, srv2)
 	st2, err := c2.Stats()
 	if err != nil {
@@ -138,25 +107,20 @@ func TestServerCheckpointVerb(t *testing.T) {
 // server configured to checkpoint every N records commits a generation
 // without anyone calling the verb.
 func TestServerBackgroundCheckpointer(t *testing.T) {
-	w, log, _ := logBackedWaldo(t)
-	store, err := checkpoint.NewStore(vfs.NewMemFS("ck", nil), "/ck", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := startServer(t, w, Config{
-		Checkpoints:        store,
+	srv := openMemDaemon(t, vfs.NewMemFS("log", nil), vfs.NewMemFS("ck", nil), Config{
 		CheckpointInterval: time.Hour, // only the record trigger may fire
 		CheckpointEvery:    100,
-	})
+	}).Server
+	store := srv.cfg.Checkpoints
+	c := dialClient(t, srv)
+	var batch []record.Record
 	for i := 1; i <= 200; i++ {
-		if err := log.AppendRecord(0, nameRec(i)); err != nil {
-			t.Fatal(err)
-		}
+		batch = append(batch, nameRec(i))
 	}
-	if err := log.Flush(); err != nil {
+	if err := c.AppendProvenance(batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Drain(); err != nil {
+	if _, err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)

@@ -38,18 +38,17 @@ import (
 )
 
 // DefaultObjectVolume is the pnode volume prefix remote phantom objects
-// are allocated from when Config.ObjectVolume is zero. It sits just below
-// the kernel's transient space (0xFFFF) so remote phantoms never collide
-// with local transient objects or with on-disk volumes.
+// are allocated from. It sits just below the kernel's transient space
+// (0xFFFF) so remote phantoms never collide with local transient objects
+// or with on-disk volumes.
 const DefaultObjectVolume uint16 = 0xFFFE
 
 // registry is the server's object table: pnode → live object, plus the
 // allocator that mints new phantom identities.
 type registry struct {
-	prefix uint16
-	alloc  *pnode.Allocator
-	an     *analyzer.Analyzer
-	w      *waldo.Waldo
+	alloc *pnode.Allocator
+	an    *analyzer.Analyzer
+	w     *waldo.Waldo
 
 	mu   sync.Mutex
 	objs map[pnode.PNode]*serverObject
@@ -58,17 +57,16 @@ type registry struct {
 // newRegistry builds a registry whose allocator resumes past the highest
 // prefix-space pnode the (possibly checkpoint-recovered) database already
 // knows, preserving the never-recycled pnode guarantee across restarts.
-func newRegistry(w *waldo.Waldo, prefix uint16) *registry {
-	alloc := pnode.NewPrefixed(prefix)
-	if max, ok := w.DB.MaxPNode(prefix); ok {
+func newRegistry(w *waldo.Waldo) *registry {
+	alloc := pnode.NewPrefixed(DefaultObjectVolume)
+	if max, ok := w.DB.MaxPNode(DefaultObjectVolume); ok {
 		alloc.SeedPast(max)
 	}
 	return &registry{
-		prefix: prefix,
-		alloc:  alloc,
-		an:     analyzer.New(),
-		w:      w,
-		objs:   make(map[pnode.PNode]*serverObject),
+		alloc: alloc,
+		an:    analyzer.New(),
+		w:     w,
+		objs:  make(map[pnode.PNode]*serverObject),
 	}
 }
 
@@ -120,10 +118,10 @@ func (rg *registry) release(obj *serverObject) {
 // mkobj must never re-issue it (§5.2).
 func (rg *registry) observeRecords(recs []record.Record) {
 	for _, r := range recs {
-		if pnode.VolumePrefix(r.Subject.PNode) == rg.prefix {
+		if pnode.VolumePrefix(r.Subject.PNode) == DefaultObjectVolume {
 			rg.alloc.SeedPast(r.Subject.PNode)
 		}
-		if dep, ok := r.Value.AsRef(); ok && pnode.VolumePrefix(dep.PNode) == rg.prefix {
+		if dep, ok := r.Value.AsRef(); ok && pnode.VolumePrefix(dep.PNode) == DefaultObjectVolume {
 			rg.alloc.SeedPast(dep.PNode)
 		}
 	}
@@ -160,7 +158,7 @@ func (rg *registry) sweepZeroHandle(pns []pnode.PNode) {
 // the registry lock so a concurrent release of the last other handle
 // cannot evict the object between lookup and retain.
 func (rg *registry) revive(ref pnode.Ref) (*serverObject, error) {
-	if pnode.VolumePrefix(ref.PNode) != rg.prefix {
+	if pnode.VolumePrefix(ref.PNode) != DefaultObjectVolume {
 		return nil, dpapi.ErrWrongLayer
 	}
 	rg.mu.Lock()
@@ -199,7 +197,7 @@ func (rg *registry) revive(ref pnode.Ref) (*serverObject, error) {
 // version cannot pin a pre-crash object below its recovered latest
 // version.
 func (rg *registry) nodeForSubject(ref pnode.Ref) analyzer.Node {
-	if pnode.VolumePrefix(ref.PNode) != rg.prefix {
+	if pnode.VolumePrefix(ref.PNode) != DefaultObjectVolume {
 		return foreignNode{ref: ref}
 	}
 	rg.mu.Lock()

@@ -2,6 +2,8 @@ package passd
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -28,6 +30,27 @@ type TenantQuota struct {
 	// larger than the whole bucket can never pass and is refused
 	// immediately rather than stalling the tenant. <=0 means unlimited.
 	StagedBytesPerSec int64
+}
+
+// ParseQuota parses one -quota value, tenant=maxInflight:stagedBytesPerSec,
+// into quotas. A 0 axis is unlimited; a tenant named twice keeps the
+// later value, as a repeated flag does.
+func ParseQuota(quotas map[string]TenantQuota, v string) error {
+	name, caps, okName := strings.Cut(v, "=")
+	inflightS, bytesS, okCaps := strings.Cut(caps, ":")
+	if !okName || !okCaps || name == "" {
+		return fmt.Errorf("want tenant=maxInflight:stagedBytesPerSec, got %q", v)
+	}
+	inflight, err := strconv.Atoi(inflightS)
+	if err != nil {
+		return fmt.Errorf("bad maxInflight in %q: %v", v, err)
+	}
+	bytes, err := strconv.ParseInt(bytesS, 10, 64)
+	if err != nil {
+		return fmt.Errorf("bad stagedBytesPerSec in %q: %v", v, err)
+	}
+	quotas[name] = TenantQuota{MaxInFlight: inflight, StagedBytesPerSec: bytes}
+	return nil
 }
 
 // tenantState is one quota'd tenant's live accounting.

@@ -9,11 +9,8 @@ import (
 
 	"passv2/internal/netfault"
 	"passv2/internal/pnode"
-	"passv2/internal/provlog"
 	"passv2/internal/record"
 	"passv2/internal/replica"
-	"passv2/internal/vfs"
-	"passv2/internal/waldo"
 )
 
 // replNode is one in-process daemon of a replicated group, with a netfault
@@ -21,75 +18,20 @@ import (
 type replNode struct {
 	srv *Server
 	flt *netfault.Faults
+	dir string // the daemon's log directory
 }
 
-// startReplPrimary builds a replication primary over a real on-disk log:
-// the same wiring cmd/passd does for -replicate, compressed for tests.
-func startReplPrimary(t *testing.T, quorum int, commitTimeout time.Duration) (*replNode, *replica.Primary) {
-	t.Helper()
-	dfs, err := vfs.NewDirFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, err := provlog.NewWriter(dfs, "/", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := waldo.New()
-	w.Attach(waldo.NewLogVolume("logdir", dfs, log))
-	appendFn := func(recs []record.Record) error {
-		for _, r := range recs {
-			if err := log.AppendRecord(0, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	src, err := replica.OpenFileSource(dfs, "/"+provlog.CurrentName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prim := replica.NewPrimary(src, replica.Config{
-		Quorum:        quorum,
-		CommitTimeout: commitTimeout,
-		Dial: PeerDialer(Options{
-			DialTimeout:    time.Second,
-			RequestTimeout: 2 * time.Second,
-			RetryBase:      5 * time.Millisecond,
-		}),
-		RetryBase: 10 * time.Millisecond,
-		RetryMax:  200 * time.Millisecond,
-	})
-	n := startReplServer(t, w, Config{Append: appendFn, Sync: log.Sync, Replicate: prim})
-	t.Cleanup(func() { prim.Close() })
-	return n, prim
+// replPeerDial is how test primaries reach their followers: short
+// timeouts and fast reconnects, so fault tests settle in milliseconds.
+var replPeerDial = DaemonConfig{
+	PeerDial:      Options{DialTimeout: time.Second, RequestTimeout: 2 * time.Second, RetryBase: 5 * time.Millisecond},
+	PeerRetryBase: 10 * time.Millisecond,
+	PeerRetryMax:  200 * time.Millisecond,
 }
 
-// startReplFollower builds a read-only follower over its own on-disk log,
-// exactly as cmd/passd does for -join.
-func startReplFollower(t *testing.T) *replNode {
-	t.Helper()
-	dfs, err := vfs.NewDirFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, err := provlog.NewWriter(dfs, "/", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := waldo.New()
-	// The follower's writer is never appended to — the replication stream is
-	// the only writer — but the volume attachment is what drains replicated
-	// bytes into the queryable database.
-	w.Attach(waldo.NewLogVolume("logdir", dfs, log))
-	flog, err := replica.OpenFollowerLog(dfs, "/"+provlog.CurrentName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return startReplServer(t, w, Config{Follower: flog})
-}
-
-func startReplServer(t *testing.T, w *waldo.Waldo, cfg Config) *replNode {
+// openReplNode opens a daemon over a fresh on-disk log directory with a
+// netfault listener in front of it, closed when the test ends.
+func openReplNode(t *testing.T, cfg DaemonConfig) (*replNode, *Daemon) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -97,12 +39,44 @@ func startReplServer(t *testing.T, w *waldo.Waldo, cfg Config) *replNode {
 	}
 	flt := netfault.New()
 	cfg.Listener = flt.Listener(ln)
-	srv, err := Serve(w, cfg)
+	cfg.LogDir = t.TempDir()
+	d, err := Open(cfg)
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	return &replNode{srv: srv, flt: flt}
+	t.Cleanup(func() { d.Close() })
+	return &replNode{srv: d.Server, flt: flt, dir: cfg.LogDir}, d
+}
+
+// startReplPrimary opens a replication primary over a real on-disk log,
+// through the constructor cmd/passd -replicate uses.
+func startReplPrimary(t *testing.T, quorum int, commitTimeout time.Duration) (*replNode, *replica.Primary) {
+	t.Helper()
+	cfg := replPeerDial
+	cfg.Quorum, cfg.CommitTimeout = quorum, commitTimeout
+	n, d := openReplNode(t, cfg)
+	return n, d.Primary
+}
+
+// startReplFollower opens a read-only follower of primary over its own
+// on-disk log, exactly as cmd/passd -join does. The follower announces
+// itself on its own timer; callers that need it registered at once
+// announce it too (repljoin is idempotent).
+func startReplFollower(t *testing.T, primary string) *replNode {
+	t.Helper()
+	n, _ := openReplNode(t, DaemonConfig{Join: primary})
+	return n
+}
+
+// closedAddr returns a loopback address nothing listens on.
+func closedAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
 }
 
 // startReplGroup wires a primary and n followers together through the real
@@ -112,7 +86,7 @@ func startReplGroup(t *testing.T, quorum, followers int, commitTimeout time.Dura
 	prim, p := startReplPrimary(t, quorum, commitTimeout)
 	fs := make([]*replNode, followers)
 	for i := range fs {
-		fs[i] = startReplFollower(t)
+		fs[i] = startReplFollower(t, prim.srv.Addr())
 		if err := Announce(prim.srv.Addr(), fs[i].srv.Addr(), 2*time.Second); err != nil {
 			t.Fatalf("announce follower %d: %v", i, err)
 		}
@@ -191,7 +165,9 @@ func TestReplicatedQuorumAck(t *testing.T) {
 // primary's, so every client write path — append, mkobj, disclose — is
 // refused with ErrReadOnly while reads keep working.
 func TestFollowerRefusesWrites(t *testing.T) {
-	f := startReplFollower(t)
+	// No primary listens at the join address: the follower keeps
+	// announcing in the background, as one whose primary is down does.
+	f := startReplFollower(t, closedAddr(t))
 	c := dialClient(t, f.srv)
 
 	if err := c.AppendProvenance(replRecs(0, 1)); !errors.Is(err, ErrReadOnly) {
@@ -375,7 +351,7 @@ func TestFollowerLateJoinCatchesUp(t *testing.T) {
 		t.Fatalf("append: %v", err)
 	}
 
-	late := startReplFollower(t)
+	late := startReplFollower(t, prim.srv.Addr())
 	if err := Announce(prim.srv.Addr(), late.srv.Addr(), 2*time.Second); err != nil {
 		t.Fatalf("announce: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -311,6 +312,44 @@ func TestOverloadRetryDrains(t *testing.T) {
 	}
 	if st.Shed < 1 {
 		t.Fatalf("shed = %d; the overload window was never hit", st.Shed)
+	}
+}
+
+// TestCacheHitBypassesAdmission: a query whose result the current
+// snapshot already holds costs no execution, so it is answered while
+// every worker is held and the wait queue is full — where an uncached
+// query is shed.
+func TestCacheHitBypassesAdmission(t *testing.T) {
+	w, q := testWaldo(4)
+	srv := startServer(t, w, Config{Workers: 2, MaxQueue: 1})
+	c, err := DialOptions(srv.Addr(), Options{MaxRetries: -1})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	want, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := overload(srv)
+	defer release()
+	got, err := c.Query(q)
+	if err != nil {
+		t.Fatalf("cached query with every worker held: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached answer %v, want %v", got, want)
+	}
+	if _, err := c.Query(`select F from Provenance.file as F where F.name = "/t/1"`); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("uncached query with every worker held: %v, want ErrOverloaded", err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHits != 1 || st.Shed != 1 {
+		t.Fatalf("cache hits %d, shed %d; want 1 and 1", st.CacheHits, st.Shed)
 	}
 }
 

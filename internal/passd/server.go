@@ -98,11 +98,6 @@ type Config struct {
 	// — which is exactly why batched disclosure beats per-record
 	// round-trips (one fsync amortized over the whole batch).
 	Sync func() error
-	// ObjectVolume is the pnode volume prefix for phantom objects created
-	// over the wire (mkobj); zero means DefaultObjectVolume. It must
-	// differ from every local volume and from the kernel's transient
-	// space, or remote identities would collide with local ones.
-	ObjectVolume uint16
 	// Recovered carries the boot-time recovery outcome, surfaced in STATS
 	// so clients (and the restart tests) can see what recovery did.
 	Recovered *checkpoint.Recovered
@@ -362,14 +357,11 @@ func Serve(w *waldo.Waldo, cfg Config) (*Server, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 1024
 	}
-	if cfg.ObjectVolume == 0 {
-		cfg.ObjectVolume = DefaultObjectVolume
-	}
 	s := &Server{
 		cfg:     cfg,
 		w:       w,
 		ln:      ln,
-		reg:     newRegistry(w, cfg.ObjectVolume),
+		reg:     newRegistry(w),
 		workers: make(chan struct{}, cfg.Workers),
 		conns:   make(map[net.Conn]struct{}),
 	}
@@ -985,7 +977,7 @@ func errResponse(err error) Response {
 // identities come from. A hello re-sent on a framed connection just
 // reports the same again.
 func (s *Server) doHello(*connState, *Request) Response {
-	return Response{Version: ProtocolVersion, Volume: s.reg.prefix}
+	return Response{Version: ProtocolVersion, Volume: DefaultObjectVolume}
 }
 
 // The DPAPI handlers below each run one op against the connection's handle
@@ -1232,18 +1224,26 @@ func (s *Server) acquireWorker() func() {
 
 func (s *Server) doQuery(_ *connState, req *Request) Response {
 	s.queries.Add(1)
+	// The heart of the serving layer: pin (or reuse) a snapshot of the
+	// database and answer from it lock-free. Ingestion keeps running; this
+	// query cannot see or cause a torn state. Because the snapshot is
+	// immutable, everything derived from it — plans, traversal memo,
+	// finished results — is shared across queries until ingestion moves
+	// the generation, at which point the whole bundle is dropped. A
+	// finished result costs no execution, so a hit is answered before
+	// admission instead of queueing for a worker behind running scans.
+	if r, ok := s.currentSnapshot().cachedResult(req.Query); ok {
+		s.cacheHits.Add(1)
+		return Response{Columns: r.cols, Rows: r.rows, Elapsed: r.elapsed}
+	}
 	release := s.acquireWorker()
 	if release == nil {
 		return errResponse(fmt.Errorf("overloaded: %w", ErrOverloaded))
 	}
 	defer release()
 
-	// The heart of the serving layer: pin (or reuse) a snapshot of the
-	// database and answer from it lock-free. Ingestion keeps running; this
-	// query cannot see or cause a torn state. Because the snapshot is
-	// immutable, everything derived from it — plans, traversal memo,
-	// finished results — is shared across queries until ingestion moves
-	// the generation, at which point the whole bundle is dropped.
+	// Checked again with the slot held: the generation may have moved, or
+	// an identical query ahead in the queue may have stored its result.
 	sn := s.currentSnapshot()
 	if r, ok := sn.cachedResult(req.Query); ok {
 		s.cacheHits.Add(1)

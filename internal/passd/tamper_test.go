@@ -27,106 +27,35 @@ import (
 type tamperNode struct {
 	*replNode
 	dfs *vfs.DirFS
-	log *provlog.Writer
-	id  *signer.Identity
 }
 
-// startTamperPrimary builds a replication primary with the full tamper
-// stack, wired exactly as cmd/passd does: writer-attached MMR, signed
-// verify verb, and a proof-carrying replication source.
+func newTamperNode(t *testing.T, n *replNode) *tamperNode {
+	t.Helper()
+	dfs, err := vfs.NewDirFS(n.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &tamperNode{replNode: n, dfs: dfs}
+}
+
+// startTamperPrimary opens a replication primary with the full tamper
+// stack, through the constructor cmd/passd uses: writer-attached MMR,
+// signed verify verb, and a proof-carrying replication source.
 func startTamperPrimary(t *testing.T, quorum int, commitTimeout time.Duration) (*tamperNode, *replica.Primary) {
 	t.Helper()
-	dfs, err := vfs.NewDirFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := signer.LoadOrCreate(dfs, "/keys")
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, err := provlog.NewWriter(dfs, "/", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := log.AttachMMR(mmr.New(), "logdir"); err != nil {
-		t.Fatal(err)
-	}
-	w := waldo.New()
-	w.Attach(waldo.NewLogVolume("logdir", dfs, log))
-	appendFn := func(recs []record.Record) error {
-		for _, r := range recs {
-			if err := log.AppendRecord(0, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	src, err := replica.OpenFileSource(dfs, "/"+provlog.CurrentName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	psrc := replica.WithProofs(src, func(end int64) (uint64, [32]byte, bool) {
-		m := log.MMR()
-		if m == nil {
-			return 0, [32]byte{}, false
-		}
-		n, ok := m.LeavesAtOffset(end)
-		if !ok {
-			return 0, [32]byte{}, false
-		}
-		root, err := m.RootAt(n)
-		if err != nil {
-			return 0, [32]byte{}, false
-		}
-		return n, root, true
-	})
-	prim := replica.NewPrimary(psrc, replica.Config{
-		Quorum:        quorum,
-		CommitTimeout: commitTimeout,
-		Dial: PeerDialer(Options{
-			DialTimeout:    time.Second,
-			RequestTimeout: 2 * time.Second,
-			RetryBase:      5 * time.Millisecond,
-		}),
-		RetryBase: 10 * time.Millisecond,
-		RetryMax:  200 * time.Millisecond,
-	})
-	n := startReplServer(t, w, Config{
-		Append: appendFn, Sync: log.Sync, Replicate: prim,
-		Tamper: &TamperConfig{Volume: "logdir", MMR: log.MMR, Rehydrate: log.Rehydrate, Signer: id},
-	})
-	t.Cleanup(func() { prim.Close() })
-	return &tamperNode{replNode: n, dfs: dfs, log: log, id: id}, prim
+	cfg := replPeerDial
+	cfg.Quorum, cfg.CommitTimeout, cfg.MMR = quorum, commitTimeout, true
+	n, d := openReplNode(t, cfg)
+	return newTamperNode(t, n), d.Primary
 }
 
-// startTamperFollower builds a follower with a live tail feeder, so every
-// proof-carrying replicated append is root-checked before it is durable.
-func startTamperFollower(t *testing.T) *tamperNode {
+// startTamperFollower opens a follower of primary with a live tail
+// feeder, so every proof-carrying replicated append is root-checked
+// before it is durable.
+func startTamperFollower(t *testing.T, primary string) *tamperNode {
 	t.Helper()
-	dfs, err := vfs.NewDirFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, err := provlog.NewWriter(dfs, "/", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feeder, err := provlog.LoadFeeder(dfs, "/", "logdir")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := waldo.New()
-	w.Attach(waldo.NewLogVolume("logdir", dfs, log))
-	flog, err := replica.OpenFollowerLog(dfs, "/"+provlog.CurrentName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := startReplServer(t, w, Config{
-		Follower: flog,
-		Feeder:   feeder,
-		Tamper:   &TamperConfig{Volume: "logdir", MMR: feeder.MMR},
-	})
-	return &tamperNode{replNode: n, dfs: dfs, log: log}
+	n, _ := openReplNode(t, DaemonConfig{Join: primary, MMR: true})
+	return newTamperNode(t, n)
 }
 
 func startTamperGroup(t *testing.T, quorum, followers int, commitTimeout time.Duration) (*tamperNode, []*tamperNode) {
@@ -134,7 +63,7 @@ func startTamperGroup(t *testing.T, quorum, followers int, commitTimeout time.Du
 	prim, _ := startTamperPrimary(t, quorum, commitTimeout)
 	fs := make([]*tamperNode, followers)
 	for i := range fs {
-		fs[i] = startTamperFollower(t)
+		fs[i] = startTamperFollower(t, prim.srv.Addr())
 		if err := Announce(prim.srv.Addr(), fs[i].srv.Addr(), 2*time.Second); err != nil {
 			t.Fatalf("announce follower %d: %v", i, err)
 		}

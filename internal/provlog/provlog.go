@@ -225,6 +225,18 @@ func (w *Writer) AppendRecord(txn uint64, r record.Record) error {
 	return w.append(EntryRecord, payload)
 }
 
+// AppendRecords logs recs in order outside any transaction, one frame and
+// one lock hold per record, stopping at the first error. It is the shape
+// of passd.Config.Append: staging only, durability is Sync's job.
+func (w *Writer) AppendRecords(recs []record.Record) error {
+	for _, r := range recs {
+		if err := w.AppendRecord(0, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AppendBundle logs a bundle's records in order, under one transaction.
 func (w *Writer) AppendBundle(txn uint64, b *record.Bundle) error {
 	if b == nil {
