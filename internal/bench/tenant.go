@@ -158,7 +158,7 @@ func checkRequiredFamilies(parsed map[string]float64) error {
 
 // statsAgreeWithScrape pins the metrics/STATS consistency property on a
 // quiesced daemon: every counter both surfaces carry must be equal,
-// because they read the same atomics.
+// because STATS reads the same registry families /metrics renders.
 func statsAgreeWithScrape(parsed map[string]float64, st *passd.Stats) error {
 	want := map[string]float64{
 		"passd_queries_total":        float64(st.Queries),

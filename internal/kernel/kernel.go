@@ -103,9 +103,6 @@ func New(clock *vfs.Clock) *Kernel {
 // processes are spawned.
 func (k *Kernel) SetHooks(h Hooks) { k.hooks = h }
 
-// Hooks returns the installed hooks, possibly nil.
-func (k *Kernel) HooksInstalled() bool { return k.hooks != nil }
-
 // AllocTransient allocates a pnode in the kernel's transient space.
 func (k *Kernel) AllocTransient() pnode.Ref {
 	return pnode.Ref{PNode: k.pnodes.Next(), Version: 1}

@@ -7,11 +7,13 @@
 //
 // Two design rules keep the export trustworthy:
 //
-//   - Read-through collectors (CounterFunc/GaugeFunc) sample an existing
-//     atomic at scrape time instead of maintaining a second copy, so a
-//     daemon that already counts something for its STATS verb exports
-//     the same number on /metrics by construction — the property the
-//     metrics/STATS consistency tests pin.
+//   - A number lives in exactly one place. An event counter is a Counter
+//     the serving path increments; state owned elsewhere (a connection
+//     table, a database size, an atomic that drives a decision) is a
+//     read-through CounterFunc/GaugeFunc sampled at read time, never a
+//     second copy. Other surfaces — the daemon's STATS verb — read the
+//     registry back by family name (Value, Children) instead of keeping
+//     their own counters, so they agree with /metrics by construction.
 //   - Registration is get-or-create per name: asking twice for the same
 //     family returns the same instrument, and asking for the same name
 //     as a different type panics (a programming error worth failing
@@ -170,13 +172,6 @@ func (cv *CounterVec) With(values ...string) *Counter {
 
 // Each visits every child with its label values, in stable order.
 func (cv *CounterVec) Each(fn func(values []string, c *Counter)) { cv.v.each(fn) }
-
-// Total sums every child — the "whole family" view STATS fields use.
-func (cv *CounterVec) Total() int64 {
-	var t int64
-	cv.v.each(func(_ []string, c *Counter) { t += c.Value() })
-	return t
-}
 
 // GaugeVec is a gauge family keyed by label values.
 type GaugeVec struct{ v *vec[Gauge] }
@@ -371,6 +366,58 @@ func (r *Registry) families() []*family {
 	return append([]*family(nil), r.order...)
 }
 
+// scalar reads an unlabeled counter or gauge, plain or read-through; ok
+// is false for vecs and histograms.
+func (f *family) scalar() (v float64, ok bool) {
+	switch {
+	case f.c != nil:
+		return float64(f.c.Value()), true
+	case f.cf != nil:
+		return float64(f.cf()), true
+	case f.g != nil:
+		return f.g.Value(), true
+	case f.gf != nil:
+		return f.gf(), true
+	}
+	return 0, false
+}
+
+func (r *Registry) family(name string) *family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.byName[name]
+}
+
+// Value reads the scalar counter or gauge family name (plain or
+// read-through) without rendering anything. ok is false when name is
+// not registered or names a vec or a histogram.
+func (r *Registry) Value(name string) (v float64, ok bool) {
+	if f := r.family(name); f != nil {
+		return f.scalar()
+	}
+	return 0, false
+}
+
+// Children reads every child of the one-label counter or gauge vec name,
+// keyed by its label value. ok is false when name is not registered or
+// names anything else.
+func (r *Registry) Children(name string) (map[string]float64, bool) {
+	f := r.family(name)
+	if f == nil || len(f.labels) != 1 {
+		return nil, false
+	}
+	out := make(map[string]float64)
+	switch {
+	case f.cv != nil:
+		f.cv.Each(func(values []string, c *Counter) { out[values[0]] = float64(c.Value()) })
+	case f.gv != nil:
+		f.gv.Each(func(values []string, g *Gauge) { out[values[0]] = g.Value() })
+	default:
+		return nil, false
+	}
+	return out, true
+}
+
 // labelString renders `name="v1",other="v2"` with label values escaped.
 func labelString(labels, values []string) string {
 	var b strings.Builder
@@ -424,19 +471,15 @@ func (f *family) samples(fn func(name, labels string, v float64)) {
 		fn(f.name+"_sum", labels, h.Sum())
 		fn(f.name+"_count", labels, float64(h.Count()))
 	}
+	if v, ok := f.scalar(); ok {
+		fn(f.name, "", v)
+		return
+	}
 	switch {
-	case f.c != nil:
-		fn(f.name, "", float64(f.c.Value()))
-	case f.cf != nil:
-		fn(f.name, "", float64(f.cf()))
 	case f.cv != nil:
 		f.cv.Each(func(values []string, c *Counter) {
 			fn(f.name, labelString(f.labels, values), float64(c.Value()))
 		})
-	case f.g != nil:
-		fn(f.name, "", f.g.Value())
-	case f.gf != nil:
-		fn(f.name, "", f.gf())
 	case f.gv != nil:
 		f.gv.Each(func(values []string, g *Gauge) {
 			fn(f.name, labelString(f.labels, values), g.Value())

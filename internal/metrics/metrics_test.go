@@ -47,8 +47,8 @@ func TestVecChildrenAndTotal(t *testing.T) {
 	if got := cv.With("query").Value(); got != 4 {
 		t.Fatalf("query child = %d, want 4", got)
 	}
-	if got := cv.Total(); got != 5 {
-		t.Fatalf("total = %d, want 5", got)
+	if got, _ := r.Children("requests_total"); got["query"]+got["ping"] != 5 || len(got) != 2 {
+		t.Fatalf("children = %v, want query+ping = 5", got)
 	}
 	seen := map[string]int64{}
 	cv.Each(func(values []string, c *Counter) { seen[values[0]] = c.Value() })
@@ -169,17 +169,60 @@ func TestConcurrentUse(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			r.Children("ops_total") // the STATS read path, beside a scrape
+			r.Value("inflight")
 		}
 	}()
 	wg.Wait()
 	<-done
-	if got := cv.Total(); got != 8000 {
-		t.Fatalf("total = %d, want 8000", got)
+	var total float64
+	children, _ := r.Children("ops_total")
+	for _, n := range children {
+		total += n
+	}
+	if total != 8000 {
+		t.Fatalf("total = %v, want 8000", total)
 	}
 	if h.Count() != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
 	if g.Value() != 0 {
 		t.Fatalf("gauge = %v, want 0", g.Value())
+	}
+}
+
+func TestValueAndChildrenReadBack(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total", "").Add(3)
+	r.CounterFunc("cf_total", "", func() int64 { return 7 })
+	r.Gauge("g", "").Set(1.5)
+	r.GaugeFunc("gf", "", func() float64 { return -2 })
+	cv := r.CounterVec("cv_total", "", "verb")
+	cv.With("query").Add(4)
+	cv.With("ping").Inc()
+	r.GaugeVec("gv", "", "lane").With("serial").Set(2)
+	r.GaugeVec("gv2", "", "a", "b").With("x", "y").Set(1)
+	r.Histogram("h_seconds", "", DefBuckets).Observe(0.1)
+
+	for name, want := range map[string]float64{"c_total": 3, "cf_total": 7, "g": 1.5, "gf": -2} {
+		if got, ok := r.Value(name); !ok || got != want {
+			t.Errorf("Value(%s) = %v, %v; want %v, true", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"cv_total", "gv", "h_seconds", "missing"} {
+		if _, ok := r.Value(name); ok {
+			t.Errorf("Value(%s) reported a scalar", name)
+		}
+	}
+	if got, ok := r.Children("cv_total"); !ok || got["query"] != 4 || got["ping"] != 1 || len(got) != 2 {
+		t.Errorf("Children(cv_total) = %v, %v", got, ok)
+	}
+	if got, ok := r.Children("gv"); !ok || got["serial"] != 2 {
+		t.Errorf("Children(gv) = %v, %v", got, ok)
+	}
+	for _, name := range []string{"c_total", "gv2", "h_seconds", "missing"} {
+		if _, ok := r.Children(name); ok {
+			t.Errorf("Children(%s) reported a one-label vec", name)
+		}
 	}
 }

@@ -1,26 +1,29 @@
 package passd
 
 import (
+	"encoding/hex"
 	"net"
 	"net/http"
+	"reflect"
+	"strings"
 	"time"
 
+	"passv2/internal/checkpoint"
 	"passv2/internal/health"
 	"passv2/internal/metrics"
 )
 
 // The admin surface: a small HTTP listener (Config.AdminAddr or
 // Config.AdminListener) serving /metrics in the Prometheus text format,
-// /healthz (liveness) and /readyz (readiness). The metric families are
-// deliberately read-through wherever a STATS counter already exists —
-// both surfaces sample the same atomics, so they cannot disagree — and
-// the handful of families only /metrics has (per-verb latency, per-lane
-// in-flight, per-tenant accounting) are maintained on the serving path in
-// Server.serve. DESIGN.md §12 is the name registry.
+// /healthz (liveness) and /readyz (readiness). The registry is the only
+// place a serving number lives: event counters are registry instruments
+// the serving path increments, state owned elsewhere is read through at
+// sample time, and the STATS verb is a view of the same families (see
+// stats below). DESIGN.md §12 is the name registry.
 
-// serverMetrics bundles the registry and the families the serving path
-// writes directly. Everything else is registered as a CounterFunc or
-// GaugeFunc over the server's existing counters at construction.
+// serverMetrics bundles the registry and the instruments the serving
+// path writes directly. Everything else is registered as a CounterFunc or
+// GaugeFunc over state the server or its components already keep.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -34,6 +37,17 @@ type serverMetrics struct {
 	quotaRefused   *metrics.CounterVec // passd_quota_refused_total{tenant}
 	tenantStaged   *metrics.CounterVec // passd_tenant_staged_bytes_total{tenant}
 	tenantInflight *metrics.GaugeVec   // passd_tenant_inflight{tenant}
+
+	// Serving-path event counters.
+	queries, queryErrors, timeouts, cacheHits, cacheMisses *metrics.Counter
+	drains, appends, mkobjs, revives, batches              *metrics.Counter
+	quorumFailures, forkRefusals, verifies                 *metrics.Counter
+
+	// Checkpointer outcomes. Full and delta payload bytes are kept apart,
+	// and a committed generation whose post-commit retention sweep failed
+	// counts as a sweep error (housekeeping lag), not a checkpoint error.
+	checkpoints, checkpointErrors, checkpointDeltas                  *metrics.Counter
+	checkpointFullBytes, checkpointDeltaBytes, checkpointSweepErrors *metrics.Counter
 
 	replCommit  *metrics.Histogram // passd_repl_commit_seconds
 	followerLag *metrics.GaugeVec  // passd_repl_follower_lag_bytes{follower}
@@ -74,18 +88,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.tenantInflight = r.GaugeVec("passd_tenant_inflight",
 		"Admitted requests currently in flight, by tenant.", "tenant")
 
-	// Serving-path counters the STATS verb already keeps: read-through, so
-	// /metrics and STATS agree by construction.
-	r.CounterFunc("passd_queries_total", "Query verb executions.", s.queries.Load)
-	r.CounterFunc("passd_query_errors_total", "Queries that failed to parse or execute.", s.queryErrors.Load)
-	r.CounterFunc("passd_query_timeouts_total", "Queries killed by their deadline.", s.timeouts.Load)
-	r.CounterFunc("passd_cache_hits_total", "Queries answered from the snapshot result cache.", s.cacheHits.Load)
-	r.CounterFunc("passd_cache_misses_total", "Queries that had to execute.", s.cacheMisses.Load)
-	r.CounterFunc("passd_drains_total", "Drain verb executions.", s.drains.Load)
-	r.CounterFunc("passd_mkobjs_total", "Phantom objects created over the wire.", s.mkobjs.Load)
-	r.CounterFunc("passd_revives_total", "Phantom objects revived over the wire.", s.revives.Load)
-	r.CounterFunc("passd_batches_total", "Batch pipelines executed.", s.batches.Load)
-	r.CounterFunc("passd_staged_records_total", "Provenance records staged for commit.", s.appends.Load)
+	m.queries = r.Counter("passd_queries_total", "Query verb executions.")
+	m.queryErrors = r.Counter("passd_query_errors_total", "Queries that failed to parse or execute.")
+	m.timeouts = r.Counter("passd_query_timeouts_total", "Queries killed by their deadline.")
+	m.cacheHits = r.Counter("passd_cache_hits_total", "Queries answered from the snapshot result cache.")
+	m.cacheMisses = r.Counter("passd_cache_misses_total", "Queries that had to execute.")
+	m.drains = r.Counter("passd_drains_total", "Drain verb executions.")
+	m.mkobjs = r.Counter("passd_mkobjs_total", "Phantom objects created over the wire.")
+	m.revives = r.Counter("passd_revives_total", "Phantom objects revived over the wire.")
+	m.batches = r.Counter("passd_batches_total", "Batch pipelines executed.")
+	m.appends = r.Counter("passd_staged_records_total", "Provenance records staged for commit.")
 
 	r.GaugeFunc("passd_conns", "Open client connections.", func() float64 {
 		return float64(s.ConnCount())
@@ -106,23 +118,33 @@ func newServerMetrics(s *Server) *serverMetrics {
 		return s.health.Uptime().Seconds()
 	})
 
-	// Ingest and database state.
+	// Ingest and database state. DB.Stats reads the live counters without
+	// pinning a view (a view would bump the store's write epoch and make
+	// the ingest writer re-clone every node it touches next batch).
 	r.CounterFunc("passd_ingest_entries_total", "Log entries decoded into the database.", s.w.EntriesDecoded)
 	r.GaugeFunc("passd_db_records", "Provenance records in the database.", func() float64 {
 		records, _, _ := s.w.DB.Stats()
 		return float64(records)
+	})
+	r.GaugeFunc("passd_db_prov_bytes", "Bytes of provenance records in the database.", func() float64 {
+		_, prov, _ := s.w.DB.Stats()
+		return float64(prov)
+	})
+	r.GaugeFunc("passd_db_index_bytes", "Bytes of index entries in the database.", func() float64 {
+		_, _, idx := s.w.DB.Stats()
+		return float64(idx)
 	})
 	r.GaugeFunc("passd_db_generation", "Current database generation.", func() float64 {
 		return float64(s.w.DB.Gen())
 	})
 
 	// Checkpointer.
-	r.CounterFunc("passd_checkpoints_total", "Checkpoint generations written.", s.checkpoints.Load)
-	r.CounterFunc("passd_checkpoint_errors_total", "Checkpoint attempts that failed.", s.checkpointErrors.Load)
-	r.CounterFunc("passd_checkpoint_deltas_total", "Checkpoint generations written as deltas.", s.checkpointDeltas.Load)
-	r.CounterFunc("passd_checkpoint_full_bytes_total", "Payload bytes committed as full snapshots.", s.checkpointFullBytes.Load)
-	r.CounterFunc("passd_checkpoint_delta_bytes_total", "Payload bytes committed as delta generations.", s.checkpointDeltaBytes.Load)
-	r.CounterFunc("passd_checkpoint_sweep_errors_total", "Committed generations whose post-commit retention sweep failed.", s.checkpointSweepErrors.Load)
+	m.checkpoints = r.Counter("passd_checkpoints_total", "Checkpoint generations written.")
+	m.checkpointErrors = r.Counter("passd_checkpoint_errors_total", "Checkpoint attempts that failed.")
+	m.checkpointDeltas = r.Counter("passd_checkpoint_deltas_total", "Checkpoint generations written as deltas.")
+	m.checkpointFullBytes = r.Counter("passd_checkpoint_full_bytes_total", "Payload bytes committed as full snapshots.")
+	m.checkpointDeltaBytes = r.Counter("passd_checkpoint_delta_bytes_total", "Payload bytes committed as delta generations.")
+	m.checkpointSweepErrors = r.Counter("passd_checkpoint_sweep_errors_total", "Committed generations whose post-commit retention sweep failed.")
 	r.GaugeFunc("passd_checkpoint_generation", "Database generation of the last checkpoint.", func() float64 {
 		return float64(s.lastCkptGen.Load())
 	})
@@ -141,7 +163,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Quorum commit latency inside the durable-ack barrier.", metrics.DefBuckets)
 	m.followerLag = r.GaugeVec("passd_repl_follower_lag_bytes",
 		"Primary log bytes not yet durably acked, by follower.", "follower")
-	r.CounterFunc("passd_repl_quorum_failures_total", "Durable acks refused for lack of quorum.", s.quorumFailures.Load)
+	m.quorumFailures = r.Counter("passd_repl_quorum_failures_total", "Durable acks refused for lack of quorum.")
 	r.GaugeFunc("passd_repl_quorum", "Configured write quorum (0 when not a primary).", func() float64 {
 		if p := s.cfg.Replicate; p != nil {
 			return float64(p.Quorum())
@@ -174,19 +196,29 @@ func newServerMetrics(s *Server) *serverMetrics {
 		return 0
 	})
 
-	// Tamper evidence (DESIGN.md §13). The recovery-skip breakdown is
-	// fixed at boot — recovery ran before the server existed — so the
-	// family is populated once here; the bounded reason set keeps
+	// Recovery ran before the server existed, so what it did is fixed at
+	// boot and set once here; the bounded skip-reason set keeps the vec's
 	// cardinality in check.
+	rec := s.cfg.Recovered
+	if rec == nil {
+		rec = &checkpoint.Recovered{} // no checkpoint store: nothing recovered
+	}
+	r.Gauge("passd_recovered_generation", "Checkpoint generation recovered at boot (0 on a cold start).").Set(float64(rec.Gen))
+	r.Gauge("passd_recovered_records", "Records in the snapshot recovered at boot.").Set(float64(rec.Records))
+	r.Gauge("passd_recovery_resume_bytes", "Log bytes the recovered checkpoint let boot skip.").Set(float64(rec.ResumeBytes()))
 	skips := r.CounterVec("passd_recovery_skipped_generations_total",
 		"Checkpoint generations recovery skipped at boot, by reason class.", "reason")
-	if rec := s.cfg.Recovered; rec != nil {
-		for _, sk := range rec.Skipped {
-			skips.With(skipClass(sk.Class)).Inc()
+	for _, sk := range rec.Skipped {
+		class := sk.Class
+		if class == "" { // generations from before skips were classified
+			class = checkpoint.SkipOther
 		}
+		skips.With(class).Inc()
 	}
-	r.CounterFunc("passd_fork_refusals_total", "Replicated appends refused because the stream diverged from local history.", s.forkRefusals.Load)
-	r.CounterFunc("passd_verify_total", "Verify verb executions (signed roots and Merkle proofs served).", s.verifies.Load)
+
+	// Tamper evidence (DESIGN.md §13).
+	m.forkRefusals = r.Counter("passd_fork_refusals_total", "Replicated appends refused because the stream diverged from local history.")
+	m.verifies = r.Counter("passd_verify_total", "Verify verb executions (signed roots and Merkle proofs served).")
 	r.GaugeFunc("passd_mmr_leaves", "Leaves in the live provenance-log Merkle mountain range.", func() float64 {
 		if t := s.cfg.Tamper; t != nil {
 			return float64(t.MMR().Count())
@@ -223,38 +255,91 @@ func (m *serverMetrics) refresh() {
 	}
 }
 
-// verbCounts snapshots passd_requests_total for Stats.Verbs.
-func (m *serverMetrics) verbCounts() map[string]int64 {
-	out := make(map[string]int64)
-	m.requests.Each(func(values []string, c *metrics.Counter) {
-		if v := c.Value(); v > 0 {
-			out[values[0]] = v
-		}
-	})
-	if len(out) == 0 {
-		return nil
+// stats builds the STATS payload as a view of the registry: every field
+// but Role and MMRRoot names its family in a `metric` tag. Those two are
+// strings, not metrics, and are set here.
+func (m *serverMetrics) stats() *Stats {
+	st := &Stats{}
+	fillFromRegistry(m.reg, reflect.ValueOf(st).Elem())
+	s := m.srv
+	switch {
+	case s.cfg.Follower != nil:
+		st.Role = "follower"
+	case s.cfg.Replicate != nil:
+		st.Role = "primary"
 	}
-	return out
+	if t := s.cfg.Tamper; t != nil {
+		root := t.MMR().Root()
+		st.MMRRoot = hex.EncodeToString(root[:])
+	}
+	return st
 }
 
-// tenantSnapshot assembles Stats.Tenants from the per-tenant families.
-// Every named tenant that ever sent a request appears (admitTenant counts
-// before it refuses, so refusal-only tenants are included too).
-func (m *serverMetrics) tenantSnapshot() map[string]TenantStats {
-	out := make(map[string]TenantStats)
-	m.tenantRequests.Each(func(values []string, c *metrics.Counter) {
-		t := values[0]
-		out[t] = TenantStats{
-			Requests:    c.Value(),
-			Refused:     m.quotaRefused.With(t).Value(),
-			StagedBytes: m.tenantStaged.With(t).Value(),
-			InFlight:    int64(m.tenantInflight.With(t).Value()),
+// fillFromRegistry sets each `metric`-tagged field of the struct v: a
+// scalar family's value, a ",sum" vec's total, or a map keyed by a vec's
+// nonzero children. A map's struct elements read each of their own
+// families once, at every key, so a STATS call stays linear in tenants.
+func fillFromRegistry(reg *metrics.Registry, v reflect.Value) {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		tag, ok := t.Field(i).Tag.Lookup("metric")
+		if !ok {
+			continue
 		}
-	})
-	if len(out) == 0 {
-		return nil
+		name, sum := strings.CutSuffix(tag, ",sum")
+		f := v.Field(i)
+		if !sum && f.Kind() != reflect.Map {
+			n, _ := reg.Value(name)
+			setNumber(f, n)
+			continue
+		}
+		children, _ := reg.Children(name)
+		if sum {
+			var total float64
+			for _, n := range children {
+				total += n
+			}
+			setNumber(f, total)
+			continue
+		}
+		et := f.Type().Elem()
+		elems := make(map[string]reflect.Value)
+		for k, n := range children {
+			if n != 0 {
+				elems[k] = reflect.New(et).Elem()
+				if et.Kind() != reflect.Struct {
+					setNumber(elems[k], n)
+				}
+			}
+		}
+		for j := 0; et.Kind() == reflect.Struct && j < et.NumField(); j++ {
+			at, _ := reg.Children(et.Field(j).Tag.Get("metric"))
+			for k, e := range elems {
+				setNumber(e.Field(j), at[k])
+			}
+		}
+		for k, e := range elems {
+			if f.IsNil() {
+				f.Set(reflect.MakeMapWithSize(f.Type(), len(elems)))
+			}
+			f.SetMapIndex(reflect.ValueOf(k), e)
+		}
 	}
-	return out
+}
+
+// setNumber stores a sample into an integer or boolean field; every
+// STATS number is a count, a size or a flag, so it converts exactly.
+func setNumber(f reflect.Value, n float64) {
+	switch f.Kind() {
+	case reflect.Int, reflect.Int64:
+		f.SetInt(int64(n))
+	case reflect.Uint64:
+		f.SetUint(uint64(n))
+	case reflect.Bool:
+		f.SetBool(n != 0)
+	default:
+		panic("passd: STATS field of kind " + f.Kind().String() + " cannot hold a metric")
+	}
 }
 
 // startAdmin binds and serves the admin endpoints when configured; a nil

@@ -66,7 +66,7 @@ type DaemonConfig struct {
 type BootReport struct {
 	// Tamper reports tamper evidence on at boot, with the signer's device
 	// and the MMR's leaf count; TamperOff is why it was then switched off
-	// (a log tail the MMR cannot cover), nil if it was not.
+	// (a damaged frame mid-log the MMR cannot cover), nil if it was not.
 	Tamper    bool
 	DeviceID  [16]byte
 	MMRLeaves uint64
@@ -201,12 +201,21 @@ func Open(cfg DaemonConfig) (*Daemon, error) {
 		if d.Log, err = provlog.NewWriter(lfs, "/", 0); err != nil {
 			return nil, err
 		}
+		// A torn final frame would hide every record acked after it from
+		// the drain, so a writer cuts it; mid-log damage stays, for
+		// AttachMMR. A follower's log is written only by the stream.
+		if cfg.Join == "" {
+			if err := d.Log.CutTornTail(intactFrom(bootM, rec, d.Log)); err != nil {
+				d.release()
+				return nil, err
+			}
+		}
 		d.Waldo.Attach(waldo.NewLogVolume(logVolume, lfs, d.Log))
 		srvCfg.Append, srvCfg.Sync = d.Log.AppendRecords, d.Log.Sync
 	}
 	// Every appended frame becomes a leaf — except on a follower, whose
-	// writer never appends. A log tail the MMR cannot cover (torn bytes
-	// mid-file) serves without tamper evidence rather than refusing boot.
+	// writer never appends. A log the MMR cannot cover (mid-log damage)
+	// serves without tamper evidence rather than refusing boot.
 	if tamper && cfg.Join == "" {
 		if err := d.Log.AttachMMR(bootM, logVolume); err != nil {
 			d.Boot.TamperOff = err
@@ -220,6 +229,7 @@ func Open(cfg DaemonConfig) (*Daemon, error) {
 		d.Log.DisableRotation("replication primary: follower offsets track log.current")
 		src, err := replica.OpenFileSource(lfs, "/"+provlog.CurrentName)
 		if err != nil {
+			d.release()
 			return nil, err
 		}
 		d.files = append(d.files, src)
@@ -247,6 +257,7 @@ func Open(cfg DaemonConfig) (*Daemon, error) {
 		// the client surface is read-only.
 		d.Log.DisableRotation("replication follower: the stream appends to log.current by offset")
 		if srvCfg.Follower, err = replica.OpenFollowerLog(lfs, "/"+provlog.CurrentName); err != nil {
+			d.release()
 			return nil, err
 		}
 		d.files = append(d.files, srvCfg.Follower)
@@ -299,8 +310,8 @@ func Open(cfg DaemonConfig) (*Daemon, error) {
 
 // Close stops the daemon in cmd/passd's SIGTERM order: the announce loop,
 // a final drain so the shutdown checkpoint is complete, the server (which
-// writes that final generation), then the primary. Later calls return
-// the first call's error.
+// writes that final generation), then the primary and the log. Later
+// calls return the first call's error.
 func (d *Daemon) Close() error {
 	d.closing.Do(func() {
 		if d.stopJoin != nil {
@@ -315,8 +326,8 @@ func (d *Daemon) Close() error {
 	return d.closeErr
 }
 
-// release stops the primary and closes replication's files, on Close and
-// on a failed Open.
+// release stops the primary and closes replication's files and the log
+// writer, on Close and on a failed Open.
 func (d *Daemon) release() error {
 	var err error
 	if d.Primary != nil {
@@ -324,6 +335,9 @@ func (d *Daemon) release() error {
 	}
 	for _, f := range d.files {
 		err = errors.Join(err, f.Close())
+	}
+	if d.Log != nil {
+		err = errors.Join(err, d.Log.Close())
 	}
 	return err
 }
@@ -350,6 +364,23 @@ func fsFor(seam vfs.FS, dir string) (vfs.FS, error) {
 		return seam, nil
 	}
 	return vfs.NewDirFS(dir)
+}
+
+// intactFrom is a global log offset known to start a frame, where the
+// cut's scan starts: the MMR's cursor (so only torn bytes are read), else
+// the recovered checkpoint's offset into the active log, else 0.
+func intactFrom(m *mmr.MMR, rec *checkpoint.Recovered, lw *provlog.Writer) int64 {
+	if m != nil {
+		return m.Cursor()
+	}
+	if rec != nil {
+		for _, v := range rec.Volumes {
+			if v.Name == logVolume {
+				return lw.GlobalSize() - lw.Size() + v.Offsets[lw.CurrentSeq()]
+			}
+		}
+	}
+	return 0
 }
 
 // verifyProofs checks a manifest's signed root statements against the

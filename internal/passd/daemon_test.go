@@ -9,10 +9,13 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"passv2/internal/checkpoint"
+	"passv2/internal/mmr"
 	"passv2/internal/pnode"
 	"passv2/internal/provlog"
 	"passv2/internal/record"
@@ -272,34 +275,254 @@ func TestOpenRecoverySkipClasses(t *testing.T) {
 	}
 }
 
-// TestOpenTornTailDegradesTamper: a write torn mid-frame leaves bytes the
-// MMR cannot cover. Open then serves without tamper evidence, and says
-// why, rather than refusing to boot.
-func TestOpenTornTailDegradesTamper(t *testing.T) {
-	disk := newBootDisk()
+// tearLog appends the n intact frames of bootRecs(prefix, lo, n) to the
+// log on disk through a FaultFS, then tears the next one mid-frame, as a
+// crash mid-append leaves it.
+func tearLog(t *testing.T, disk bootDisk, prefix string, lo, n int) {
+	t.Helper()
 	ffs := vfs.NewFaultFS(disk.log)
 	lw, err := provlog.NewWriter(ffs, "/", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lw.AppendRecords(bootRecs("torn", 0, 10)); err != nil {
+	if err := lw.AppendRecords(bootRecs(prefix, lo, n)); err != nil {
 		t.Fatal(err)
 	}
 	ffs.SetCrashPoint(1) // the next frame's write persists only a prefix
-	if err := lw.AppendRecords(bootRecs("torn", 10, 1)); !errors.Is(err, vfs.ErrInjectedCrash) {
+	if err := lw.AppendRecords(bootRecs(prefix, lo+n, 1)); !errors.Is(err, vfs.ErrInjectedCrash) {
 		t.Fatalf("torn append: %v, want the injected crash", err)
 	}
+}
+
+// ackAfterTear acks five records past the first `acked` on a daemon
+// booted over a torn log, drains, and requires every one of them to be
+// queryable by name.
+func ackAfterTear(t *testing.T, d *Daemon, prefix string, acked int) {
+	t.Helper()
+	c := dialClient(t, d.Server)
+	if err := c.AppendProvenance(bootRecs(prefix, acked, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < acked+5; i++ {
+		res, err := c.Query(fmt.Sprintf(`select X from Provenance.obj as X where X.name = "/%s/%d"`, prefix, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("record %d of %d: %d rows, want 1 (acked but not queryable)", i, acked+5, len(res.Rows))
+		}
+	}
+}
+
+// TestOpenTornTailKeepsTamper: a write torn mid-frame is cut back at
+// boot (its bytes were never synced, so never acked). The MMR then still
+// covers the log, tamper evidence stays on, and the records acked after
+// the crash become leaves the verify verb answers for.
+func TestOpenTornTailKeepsTamper(t *testing.T) {
+	disk := newBootDisk()
+	tearLog(t, disk, "torn", 0, 10)
 
 	d := openBoot(t, disk)
-	if !d.Boot.Tamper || d.Boot.TamperOff == nil {
-		t.Fatalf("boot over a torn tail: tamper %v, off %v; want on, then switched off", d.Boot.Tamper, d.Boot.TamperOff)
+	if !d.Boot.Tamper || d.Boot.TamperOff != nil || d.Boot.MMRLeaves != 10 {
+		t.Fatalf("boot over a torn tail: %+v; want tamper on over the 10 intact records", d.Boot)
 	}
+	ackAfterTear(t, d, "torn", 10)
 	st := bootStats(t, d)
-	if st.Records != 10 || st.MMRLeaves != 0 {
-		t.Fatalf("degraded daemon stats %+v, want the 10 intact records and no MMR", st)
+	if st.Records != 15 || st.Appends != 5 || st.MMRLeaves != 15 {
+		t.Fatalf("stats after acking past the tear %+v, want 15 records, 5 appends, 15 leaves", st)
 	}
-	if _, err := dialClient(t, d.Server).VerifyRoot(0); err == nil {
-		t.Fatal("verify verb answered with tamper evidence off")
+	inc, err := dialClient(t, d.Server).VerifyInclusion(14, 0)
+	if err != nil {
+		t.Fatalf("verify after the cut: %v", err)
+	}
+	proof, leaf, err := inc.Inclusion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := inc.RootHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mmr.VerifyInclusion(root, leaf, proof); err != nil || inc.Size != 15 {
+		t.Fatalf("inclusion proof for the last acked record: size %d, %v", inc.Size, err)
+	}
+}
+
+// TestOpenTornTailAckedRecordsQueryable: without tamper evidence the cut
+// scans from the recovered checkpoint's offset. Records acked after the
+// tear are queryable, and a restart replays them from the log.
+func TestOpenTornTailAckedRecordsQueryable(t *testing.T) {
+	disk := newBootDisk()
+	open := func() *Daemon {
+		t.Helper()
+		d, err := Open(DaemonConfig{LogFS: disk.log, CheckpointFS: disk.ckpt})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
+	}
+	d1 := open()
+	discloseAndCheckpoint(t, dialClient(t, d1.Server), bootRecs("plain", 0, 10), true)
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The tear lands past the checkpoint: ten more intact frames, then a
+	// torn one.
+	tearLog(t, disk, "plain", 10, 10)
+
+	d2 := open()
+	if d2.Boot.Recovered.DB == nil || d2.Boot.Replayed != 10 {
+		t.Fatalf("boot over a checkpoint and a torn tail: %+v", d2.Boot)
+	}
+	ackAfterTear(t, d2, "plain", 20)
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d3 := open()
+	if st := bootStats(t, d3); st.Records != 25 {
+		t.Fatalf("restart after acking past the tear serves %d records, want 25", st.Records)
+	}
+}
+
+// damageFrame flips a body byte of the log's k-th frame, as a bad sector
+// or a tamperer would, leaving the frames after it intact.
+func damageFrame(t *testing.T, fs vfs.FS, k int) {
+	t.Helper()
+	stop := errors.New("stop")
+	n := 0
+	off, err := provlog.ScanFileFrom(fs, "/"+provlog.CurrentName, 0, func(provlog.Entry) error {
+		if n == k {
+			return stop
+		}
+		n++
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("log has %d frames, want more than %d (%v)", n, k, err)
+	}
+	f, err := fs.Open("/"+provlog.CurrentName, vfs.ORdWr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off+6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{b[0] ^ 0x40}, off+6); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenMidLogDamageStaysOnDisk: a damaged frame with intact frames
+// after it is not a torn tail. Every writer role boots over it with
+// log.current untouched and serves the 13 records before it; where an
+// MMR covers the log, it cannot reach the log end, so tamper evidence
+// switches off and says why.
+func TestOpenMidLogDamageStaysOnDisk(t *testing.T) {
+	primary := replPeerDial
+	primary.Quorum, primary.CommitTimeout, primary.MMR = 1, time.Second, true
+	for _, tc := range []struct {
+		name   string
+		cfg    DaemonConfig
+		ckpt   bool // damage past a checkpoint (and its peak file)
+		tamper bool
+	}{
+		{"standalone past the peak file", DaemonConfig{MMR: true}, true, true},
+		{"primary", primary, false, true},
+		{"no MMR past a checkpoint", DaemonConfig{}, true, false},
+		{"no MMR, cold", DaemonConfig{}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := newBootDisk()
+			cfg := tc.cfg
+			cfg.LogFS, cfg.KeyFS = disk.log, disk.keys
+			if tc.ckpt {
+				cfg.CheckpointFS = disk.ckpt
+			}
+			lo := 0
+			if tc.ckpt {
+				d, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				discloseAndCheckpoint(t, dialClient(t, d.Server), bootRecs("dmg", 0, 10), true)
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				lo = 10
+			}
+			writeLog(t, disk.log, bootRecs("dmg", lo, 20-lo))
+			damageFrame(t, disk.log, 13)
+			before, err := disk.log.Stat("/" + provlog.CurrentName)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			d, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			t.Cleanup(func() { d.Close() })
+			after, err := disk.log.Stat("/" + provlog.CurrentName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Size != before.Size {
+				t.Fatalf("boot cut the damaged log from %d to %d bytes", before.Size, after.Size)
+			}
+			if (d.Boot.TamperOff != nil) != tc.tamper {
+				t.Fatalf("TamperOff = %v, want it set: %v", d.Boot.TamperOff, tc.tamper)
+			}
+			if st := bootStats(t, d); st.Records != 13 {
+				t.Fatalf("serving %d records, want the 13 before the damage", st.Records)
+			}
+		})
+	}
+}
+
+// TestOpenOffGridPeakFileCutsNothing: a peak file whose cursor sits
+// inside the log's last frame must send boot to a full rebuild of the
+// range, not have the bytes past that cursor taken for a torn tail and
+// cut.
+func TestOpenOffGridPeakFileCutsNothing(t *testing.T) {
+	disk := newBootDisk()
+	d1 := openBoot(t, disk)
+	discloseAndCheckpoint(t, dialClient(t, d1.Server), bootRecs("grid", 0, 50), true)
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := vfs.ReadFile(disk.log, "/"+provlog.MMRStateName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mmr.DecodeState(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Cursor -= 3
+	if err := provlog.SaveMMR(disk.log, "/", st); err != nil {
+		t.Fatal(err)
+	}
+	before, err := disk.log.Stat("/" + provlog.CurrentName)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := openBoot(t, disk)
+	after, err := disk.log.Stat("/" + provlog.CurrentName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size != before.Size {
+		t.Fatalf("boot cut the log from %d to %d bytes", before.Size, after.Size)
+	}
+	if d2.Boot.TamperOff != nil || d2.Boot.MMRLeaves != 50 {
+		t.Fatalf("boot over an off-grid peak file: %+v, want tamper on over 50 leaves", d2.Boot)
 	}
 }
 
@@ -368,6 +591,60 @@ func TestOpenCloseWritesFinalGeneration(t *testing.T) {
 	st := bootStats(t, d2)
 	if st.EntriesDecoded != 0 || st.Records != 70 || st.MMRLeaves != 70 || !st.MMRPruned {
 		t.Fatalf("boot after a clean shutdown: %+v", st)
+	}
+}
+
+// handleFS counts the files open through it.
+type handleFS struct {
+	vfs.FS
+	open atomic.Int64
+}
+
+func (h *handleFS) Open(path string, flags vfs.Flags) (vfs.File, error) {
+	f, err := h.FS.Open(path, flags)
+	if err != nil {
+		return nil, err
+	}
+	h.open.Add(1)
+	return &countedFile{File: f, fs: h}, nil
+}
+
+type countedFile struct {
+	vfs.File
+	fs     *handleFS
+	closed sync.Once
+}
+
+func (f *countedFile) Close() error {
+	f.closed.Do(func() { f.fs.open.Add(-1) })
+	return f.File.Close()
+}
+
+// TestOpenCloseReleasesFiles: Close gives back every file Open took —
+// the log writer's handle on log.current included — so an embedder can
+// open and close daemons in one process without running out of handles.
+func TestOpenCloseReleasesFiles(t *testing.T) {
+	disk := newBootDisk()
+	fss := []*handleFS{{FS: disk.log}, {FS: disk.ckpt}, {FS: disk.keys}}
+	for i := 0; i < 20; i++ {
+		d, err := Open(DaemonConfig{
+			LogFS:        fss[0],
+			CheckpointFS: fss[1],
+			KeyFS:        fss[2],
+			MMR:          true,
+		})
+		if err != nil {
+			t.Fatalf("Open %d: %v", i, err)
+		}
+		discloseAndCheckpoint(t, dialClient(t, d.Server), bootRecs("cycle", 10*i, 10), i%2 == 0)
+		if err := d.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i, err)
+		}
+		for j, name := range []string{"log", "checkpoint", "key"} {
+			if n := fss[j].open.Load(); n != 0 {
+				t.Fatalf("cycle %d: %d %s files still open after Close", i, n, name)
+			}
+		}
 	}
 }
 

@@ -5,8 +5,10 @@ package passd
 // quota properties. The consistency test is the load-bearing one: every
 // counter /metrics exports must agree with the STATS verb and with a
 // client-side ledger of what was actually offered, after a randomized
-// multi-tenant workload — the two surfaces read the same atomics, and
-// this test is what keeps that true as the serving path evolves.
+// multi-tenant workload. STATS is built from the registry's families
+// (one declaration per number, named by Stats' metric tags); the
+// tag-coverage test keeps every STATS field on that path, and the
+// consistency test checks the result end to end.
 
 import (
 	"errors"
@@ -194,6 +196,41 @@ func (l *consistencyLedger) merge(verbs, verbErrs map[string]int64, tenant strin
 	if tenant != "" {
 		l.attempts[tenant] += attempts
 		l.refused[tenant] += refused
+	}
+}
+
+// TestStatsTagsNameRegistryFamilies walks Stats and TenantStats: every
+// field but Role and MMRRoot carries a metric tag, every tag names a
+// family newServerMetrics registers, and the family has the shape the
+// tag implies — a scalar for a plain number, a one-label vec for a
+// ",sum", a map, or a per-tenant field.
+func TestStatsTagsNameRegistryFamilies(t *testing.T) {
+	w, _ := testWaldo(4)
+	reg := startServer(t, w, Config{}).Metrics()
+	untagged := map[string]bool{}
+	walk := func(typ reflect.Type, perTenant bool) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			tag, ok := f.Tag.Lookup("metric")
+			if !ok {
+				untagged[typ.Name()+"."+f.Name] = true
+				continue
+			}
+			name, sum := strings.CutSuffix(tag, ",sum")
+			wantVec := perTenant || sum || f.Type.Kind() == reflect.Map
+			if _, isScalar := reg.Value(name); !wantVec && !isScalar {
+				t.Errorf("%s.%s: tag %q names no scalar family", typ.Name(), f.Name, tag)
+			}
+			if _, isVec := reg.Children(name); wantVec && !isVec {
+				t.Errorf("%s.%s: tag %q names no one-label vec", typ.Name(), f.Name, tag)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Stats{}), false)
+	walk(reflect.TypeOf(TenantStats{}), true)
+	want := map[string]bool{"Stats.Role": true, "Stats.MMRRoot": true}
+	if !reflect.DeepEqual(untagged, want) {
+		t.Errorf("untagged fields %v, want only %v", untagged, want)
 	}
 }
 

@@ -299,67 +299,69 @@ type Value struct {
 	N string `json:"n,omitempty"` // ref display name
 }
 
-// Stats is the payload of the "stats" verb: the live database counters
-// plus the server's serving counters.
+// Stats is the payload of the "stats" verb: a view of the server's
+// metrics registry (DESIGN.md §12). Each field but the strings Role and
+// MMRRoot names its one declaration, a registry family, in a `metric`
+// tag: a scalar's value, with ",sum" a one-label vec's total, and on a
+// map the vec whose nonzero children key it (a TenantStats element reads
+// its own families at that key). So STATS cannot disagree with /metrics.
 type Stats struct {
-	Records   int64 `json:"records"`
-	ProvBytes int64 `json:"prov_bytes"`
-	IdxBytes  int64 `json:"idx_bytes"`
+	Records   int64 `json:"records" metric:"passd_db_records"`
+	ProvBytes int64 `json:"prov_bytes" metric:"passd_db_prov_bytes"`
+	IdxBytes  int64 `json:"idx_bytes" metric:"passd_db_index_bytes"`
 
-	Queries     int64 `json:"queries"`            // queries served (including failed)
-	QueryErrors int64 `json:"query_errors"`       // parse/eval failures
-	Timeouts    int64 `json:"timeouts"`           // queries killed by deadline
-	Shed        int64 `json:"shed"`               // queries refused by backpressure
-	Drains      int64 `json:"drains"`             // drain verbs served
-	Conns       int64 `json:"conns"`              // currently open connections
-	V3Conns     int64 `json:"v3_conns,omitempty"` // connections past hello, speaking frames
-	Workers     int   `json:"workers"`            // worker-pool size
-	CacheHits   int64 `json:"cache_hits"`         // queries answered from a snapshot's result cache
-	CacheMisses int64 `json:"cache_misses"`       // queries that executed
+	Queries     int64 `json:"queries" metric:"passd_queries_total"`           // queries served (including failed)
+	QueryErrors int64 `json:"query_errors" metric:"passd_query_errors_total"` // parse/eval failures
+	Timeouts    int64 `json:"timeouts" metric:"passd_query_timeouts_total"`   // queries killed by deadline
+	Shed        int64 `json:"shed" metric:"passd_shed_total,sum"`             // requests refused by backpressure, every lane
+	Drains      int64 `json:"drains" metric:"passd_drains_total"`             // drain verbs served
+	Conns       int64 `json:"conns" metric:"passd_conns"`                     // currently open connections
+	V3Conns     int64 `json:"v3_conns,omitempty" metric:"passd_v3_conns"`     // connections past hello, speaking frames
+	Workers     int   `json:"workers" metric:"passd_workers"`                 // worker-pool size
+	CacheHits   int64 `json:"cache_hits" metric:"passd_cache_hits_total"`     // queries answered from a snapshot's result cache
+	CacheMisses int64 `json:"cache_misses" metric:"passd_cache_misses_total"` // queries that executed
 
-	Gen            int64 `json:"gen"`             // database generation (applied batches)
-	EntriesDecoded int64 `json:"entries_decoded"` // log entries decoded by this process's drains
+	Gen            int64 `json:"gen" metric:"passd_db_generation"`                    // database generation (applied batches)
+	EntriesDecoded int64 `json:"entries_decoded" metric:"passd_ingest_entries_total"` // log entries decoded by this process's drains
 
-	Checkpoints       int64 `json:"checkpoints"`       // checkpoints committed by this process
-	CheckpointErrors  int64 `json:"checkpoint_errors"` // checkpoint attempts that failed
-	LastCheckpointGen int64 `json:"last_checkpoint_gen"`
+	Checkpoints       int64 `json:"checkpoints" metric:"passd_checkpoints_total"`             // checkpoints committed by this process
+	CheckpointErrors  int64 `json:"checkpoint_errors" metric:"passd_checkpoint_errors_total"` // checkpoint attempts that failed
+	LastCheckpointGen int64 `json:"last_checkpoint_gen" metric:"passd_checkpoint_generation"`
 	// Incremental-checkpoint accounting: generations committed as deltas,
 	// payload bytes by kind, and committed generations whose post-commit
 	// retention sweep failed (housekeeping lag, not checkpoint failure).
-	CheckpointDeltas      int64 `json:"checkpoint_deltas"`
-	CheckpointFullBytes   int64 `json:"checkpoint_full_bytes"`
-	CheckpointDeltaBytes  int64 `json:"checkpoint_delta_bytes"`
-	CheckpointSweepErrors int64 `json:"checkpoint_sweep_errors"`
-	Appends               int64 `json:"appends"` // records staged for commit over the wire
+	CheckpointDeltas      int64 `json:"checkpoint_deltas" metric:"passd_checkpoint_deltas_total"`
+	CheckpointFullBytes   int64 `json:"checkpoint_full_bytes" metric:"passd_checkpoint_full_bytes_total"`
+	CheckpointDeltaBytes  int64 `json:"checkpoint_delta_bytes" metric:"passd_checkpoint_delta_bytes_total"`
+	CheckpointSweepErrors int64 `json:"checkpoint_sweep_errors" metric:"passd_checkpoint_sweep_errors_total"`
+	Appends               int64 `json:"appends" metric:"passd_staged_records_total"` // records staged for commit over the wire
 
-	RecoveredGen     int64 `json:"recovered_gen"`     // generation recovered at boot (0 = cold start)
-	RecoveredRecords int64 `json:"recovered_records"` // records in the recovered snapshot
-	ResumeBytes      int64 `json:"resume_bytes"`      // log bytes the recovery skipped
-	SkippedGens      int64 `json:"skipped_gens"`      // corrupt generations recovery fell past
+	RecoveredGen     int64 `json:"recovered_gen" metric:"passd_recovered_generation"`                  // generation recovered at boot (0 = cold start)
+	RecoveredRecords int64 `json:"recovered_records" metric:"passd_recovered_records"`                 // records in the recovered snapshot
+	ResumeBytes      int64 `json:"resume_bytes" metric:"passd_recovery_resume_bytes"`                  // log bytes the recovery skipped
+	SkippedGens      int64 `json:"skipped_gens" metric:"passd_recovery_skipped_generations_total,sum"` // corrupt generations recovery fell past
 
-	Mkobjs  int64 `json:"mkobjs"`  // phantom objects created over the wire
-	Revives int64 `json:"revives"` // handles reopened over the wire
-	Batches int64 `json:"batches"` // pipelined batch requests served
-	Objects int64 `json:"objects"` // live objects in the server registry
+	Mkobjs  int64 `json:"mkobjs" metric:"passd_mkobjs_total"`   // phantom objects created over the wire
+	Revives int64 `json:"revives" metric:"passd_revives_total"` // handles reopened over the wire
+	Batches int64 `json:"batches" metric:"passd_batches_total"` // pipelined batch requests served
+	Objects int64 `json:"objects" metric:"passd_objects"`       // live objects in the server registry
 
 	// Replication state (DESIGN.md §10). Role is "" on a standalone
 	// daemon, "primary" when replicating out, "follower" when receiving.
 	Role           string `json:"role,omitempty"`
-	ReplQuorum     int    `json:"repl_quorum,omitempty"`     // write quorum W, counting the primary
-	ReplFollowers  int64  `json:"repl_followers,omitempty"`  // followers joined (primary)
-	ReplConnected  int64  `json:"repl_connected,omitempty"`  // followers currently streaming (primary)
-	ReplBytes      int64  `json:"repl_bytes,omitempty"`      // follower: durable replicated log bytes
-	QuorumFailures int64  `json:"quorum_failures,omitempty"` // acks refused because quorum was not reached
+	ReplQuorum     int    `json:"repl_quorum,omitempty" metric:"passd_repl_quorum"`                    // write quorum W, counting the primary
+	ReplFollowers  int64  `json:"repl_followers,omitempty" metric:"passd_repl_followers"`              // followers joined (primary)
+	ReplConnected  int64  `json:"repl_connected,omitempty" metric:"passd_repl_connected"`              // followers currently streaming (primary)
+	ReplBytes      int64  `json:"repl_bytes,omitempty" metric:"passd_repl_log_bytes"`                  // follower: durable replicated log bytes
+	QuorumFailures int64  `json:"quorum_failures,omitempty" metric:"passd_repl_quorum_failures_total"` // acks refused because quorum was not reached
 
 	// Serving-edge observability (DESIGN.md §12). Verbs counts dispatched
-	// requests per verb — the same counters /metrics exports as
-	// passd_requests_total, read from one source so the two surfaces can
-	// never disagree. QuotaRefusals totals per-tenant quota refusals, and
-	// Tenants breaks accounting down per tenant (only tenants that ever
-	// named themselves appear).
-	Verbs         map[string]int64       `json:"verbs,omitempty"`
-	QuotaRefusals int64                  `json:"quota_refusals,omitempty"`
-	Tenants       map[string]TenantStats `json:"tenants,omitempty"`
+	// requests per verb, QuotaRefusals totals per-tenant quota refusals,
+	// and Tenants breaks accounting down per tenant (only tenants that
+	// ever named themselves appear).
+	Verbs         map[string]int64       `json:"verbs,omitempty" metric:"passd_requests_total"`
+	QuotaRefusals int64                  `json:"quota_refusals,omitempty" metric:"passd_quota_refused_total,sum"`
+	Tenants       map[string]TenantStats `json:"tenants,omitempty" metric:"passd_tenant_requests_total"`
 
 	// Tamper evidence (DESIGN.md §13). RecoverySkips breaks SkippedGens
 	// down by the machine-readable skip class checkpoint recovery
@@ -369,24 +371,25 @@ type Stats struct {
 	// whether it was resumed from a peak snapshot (proofs need a
 	// rehydrating rescan). ForkRefusals counts replicated appends this
 	// follower refused as forked; Verifies counts "verify" verbs served.
-	RecoverySkips map[string]int64 `json:"recovery_skips,omitempty"`
-	MMRLeaves     uint64           `json:"mmr_leaves,omitempty"`
+	RecoverySkips map[string]int64 `json:"recovery_skips,omitempty" metric:"passd_recovery_skipped_generations_total"`
+	MMRLeaves     uint64           `json:"mmr_leaves,omitempty" metric:"passd_mmr_leaves"`
 	MMRRoot       string           `json:"mmr_root,omitempty"`
-	MMRPruned     bool             `json:"mmr_pruned,omitempty"`
-	ForkRefusals  int64            `json:"fork_refusals,omitempty"`
-	Verifies      int64            `json:"verifies,omitempty"`
+	MMRPruned     bool             `json:"mmr_pruned,omitempty" metric:"passd_mmr_pruned"`
+	ForkRefusals  int64            `json:"fork_refusals,omitempty" metric:"passd_fork_refusals_total"`
+	Verifies      int64            `json:"verifies,omitempty" metric:"passd_verify_total"`
 }
 
-// TenantStats is one tenant's slice of the serving counters. Requests
-// counts every request the tenant offered (admitted or refused), Refused
-// the quota refusals among them, StagedBytes the wire bytes of admitted
+// TenantStats is one tenant's slice of the serving counters, each read
+// from its per-tenant family at the tenant's label. Requests counts every
+// request the tenant offered (admitted or refused), Refused the quota
+// refusals among them, StagedBytes the wire bytes of admitted
 // record-staging requests, and InFlight the tenant's requests executing
 // right now.
 type TenantStats struct {
-	Requests    int64 `json:"requests"`
-	Refused     int64 `json:"refused"`
-	StagedBytes int64 `json:"staged_bytes"`
-	InFlight    int64 `json:"in_flight"`
+	Requests    int64 `json:"requests" metric:"passd_tenant_requests_total"`
+	Refused     int64 `json:"refused" metric:"passd_quota_refused_total"`
+	StagedBytes int64 `json:"staged_bytes" metric:"passd_tenant_staged_bytes_total"`
+	InFlight    int64 `json:"in_flight" metric:"passd_tenant_inflight"`
 }
 
 // ProtocolVersion is the one wire-protocol version this package speaks:

@@ -3,7 +3,6 @@ package passd
 import (
 	"bufio"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -185,32 +184,14 @@ type Server struct {
 	snapMu sync.Mutex
 	snap   *snapshot
 
-	queries     atomic.Int64
-	queryErrors atomic.Int64
-	timeouts    atomic.Int64
-	drains      atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	appends     atomic.Int64
-	mkobjs      atomic.Int64
-	revives     atomic.Int64
-	batches     atomic.Int64
-
-	quorumFailures atomic.Int64 // primary: acks refused for lack of quorum
-
-	// Tamper-evidence state: forkRefusals counts replicated appends this
-	// follower refused as forked, verifies counts "verify" verbs served,
-	// and rehydrateMu serializes the rescan that upgrades a pruned MMR to
+	// rehydrateMu serializes the rescan that upgrades a pruned MMR to
 	// proof capability (concurrent verifies must not rescan twice).
-	forkRefusals atomic.Int64
-	verifies     atomic.Int64
-	rehydrateMu  sync.Mutex
+	rehydrateMu sync.Mutex
 
 	// Observability and admission (admin.go, quota.go): met owns every
-	// /metrics family — including the per-lane shed counters Stats.Shed is
-	// derived from, so the two surfaces read one set of counters — health
-	// is the /healthz//readyz checker, tenants the per-tenant quota table,
-	// admin the HTTP admin server (nil when not configured).
+	// serving counter and /metrics family, and STATS is read from it;
+	// health is the /healthz//readyz checker, tenants the per-tenant quota
+	// table, admin the HTTP admin server (nil when not configured).
 	met     *serverMetrics
 	health  *health.Checker
 	tenants *tenantTable
@@ -224,16 +205,6 @@ type Server struct {
 	lastCkptGen      atomic.Int64
 	lastCkptRecords  atomic.Int64
 	lastCkptUnixNano atomic.Int64 // when the last checkpoint committed (0 = never)
-	checkpoints      atomic.Int64
-	checkpointErrors atomic.Int64
-	// Per-kind checkpoint accounting: payload bytes committed as full
-	// snapshots vs deltas, how many generations were deltas, and how many
-	// post-commit retention sweeps failed (committed generations whose
-	// housekeeping lagged — deliberately not CheckpointErrors).
-	checkpointFullBytes   atomic.Int64
-	checkpointDeltaBytes  atomic.Int64
-	checkpointDeltas      atomic.Int64
-	checkpointSweepErrors atomic.Int64
 }
 
 // snapshot bundles one pinned view with the caches its immutability makes
@@ -462,19 +433,19 @@ func (s *Server) doCheckpoint() (checkpoint.Info, error) {
 	}
 	info, err := s.cfg.Checkpoints.Write(st, checkpoint.Policy{FullEvery: s.cfg.CheckpointFullEvery})
 	if err != nil {
-		s.checkpointErrors.Add(1)
+		s.met.checkpointErrors.Inc()
 		return info, err
 	}
-	s.checkpoints.Add(1)
+	s.met.checkpoints.Inc()
 	if info.Kind == checkpoint.KindDelta {
-		s.checkpointDeltas.Add(1)
-		s.checkpointDeltaBytes.Add(info.SnapshotBytes)
+		s.met.checkpointDeltas.Inc()
+		s.met.checkpointDeltaBytes.Add(info.SnapshotBytes)
 	} else {
-		s.checkpointFullBytes.Add(info.SnapshotBytes)
+		s.met.checkpointFullBytes.Add(info.SnapshotBytes)
 	}
 	if info.SweepErr != nil {
 		// The generation committed; only the retention sweep failed.
-		s.checkpointSweepErrors.Add(1)
+		s.met.checkpointSweepErrors.Inc()
 	}
 	s.lastCkptGen.Store(info.Gen)
 	s.lastCkptRecords.Store(info.Records)
@@ -484,7 +455,7 @@ func (s *Server) doCheckpoint() (checkpoint.Info, error) {
 		// failed. That is housekeeping lag, not checkpoint failure — the
 		// next boot falls back to rebuilding the range from the log.
 		if serr := t.SaveState(); serr != nil {
-			s.checkpointSweepErrors.Add(1)
+			s.met.checkpointSweepErrors.Inc()
 		}
 	}
 	return info, nil
@@ -896,7 +867,7 @@ func (s *Server) serve(cs *connState, verb *verbSpec, req *Request, lane string,
 func (s *Server) doPing(*connState, *Request) Response { return Response{} }
 
 func (s *Server) doStats(*connState, *Request) Response {
-	return Response{Stats: s.snapshotStats()}
+	return Response{Stats: s.met.stats()}
 }
 
 // doReplJoin registers an announcing follower on a replication primary.
@@ -986,7 +957,7 @@ func (s *Server) doHello(*connState, *Request) Response {
 // for a whole pipeline).
 
 func (s *Server) doMkobj(cs *connState, _ *Request) Response {
-	s.mkobjs.Add(1)
+	s.met.mkobjs.Inc()
 	obj := s.reg.mkobj()
 	ref := obj.Ref()
 	// A daemon with a durable log persists the allocation itself: after a
@@ -1006,7 +977,7 @@ func (s *Server) doMkobj(cs *connState, _ *Request) Response {
 }
 
 func (s *Server) doRevive(cs *connState, req *Request) Response {
-	s.revives.Add(1)
+	s.met.revives.Inc()
 	obj, err := s.reg.revive(pnode.Ref{PNode: pnode.PNode(req.P), Version: pnode.Version(req.Ver)})
 	if err != nil {
 		return dpapiError(err)
@@ -1115,7 +1086,7 @@ func (s *Server) doWrite(cs *connState, req *Request) Response {
 // outer acknowledgment covers every staged record with a single Sync:
 // this is the round-trip/fsync amortization passbench -disclose measures.
 func (s *Server) doBatch(cs *connState, req *Request) Response {
-	s.batches.Add(1)
+	s.met.batches.Inc()
 	resp := Response{Ops: make([]Response, 0, len(req.Ops))}
 	commits := false
 	for i := range req.Ops {
@@ -1160,7 +1131,7 @@ func (s *Server) stageRecords(recs []record.Record) error {
 	} else {
 		s.w.DB.ApplyBatch(recs)
 	}
-	s.appends.Add(int64(len(recs)))
+	s.met.appends.Add(int64(len(recs)))
 	return nil
 }
 
@@ -1185,7 +1156,7 @@ func (s *Server) ackDurable() error {
 		err = p.Commit(size)
 		s.met.replCommit.Observe(time.Since(start).Seconds())
 		if err != nil {
-			s.quorumFailures.Add(1)
+			s.met.quorumFailures.Inc()
 			return fmt.Errorf("%w (%v)", ErrUnavailable, err)
 		}
 	}
@@ -1223,7 +1194,7 @@ func (s *Server) acquireWorker() func() {
 }
 
 func (s *Server) doQuery(_ *connState, req *Request) Response {
-	s.queries.Add(1)
+	s.met.queries.Inc()
 	// The heart of the serving layer: pin (or reuse) a snapshot of the
 	// database and answer from it lock-free. Ingestion keeps running; this
 	// query cannot see or cause a torn state. Because the snapshot is
@@ -1233,7 +1204,7 @@ func (s *Server) doQuery(_ *connState, req *Request) Response {
 	// finished result costs no execution, so a hit is answered before
 	// admission instead of queueing for a worker behind running scans.
 	if r, ok := s.currentSnapshot().cachedResult(req.Query); ok {
-		s.cacheHits.Add(1)
+		s.met.cacheHits.Inc()
 		return Response{Columns: r.cols, Rows: r.rows, Elapsed: r.elapsed}
 	}
 	release := s.acquireWorker()
@@ -1246,14 +1217,14 @@ func (s *Server) doQuery(_ *connState, req *Request) Response {
 	// an identical query ahead in the queue may have stored its result.
 	sn := s.currentSnapshot()
 	if r, ok := sn.cachedResult(req.Query); ok {
-		s.cacheHits.Add(1)
+		s.met.cacheHits.Inc()
 		return Response{Columns: r.cols, Rows: r.rows, Elapsed: r.elapsed}
 	}
-	s.cacheMisses.Add(1)
+	s.met.cacheMisses.Inc()
 
 	plan, err := sn.plan(req.Query)
 	if err != nil {
-		s.queryErrors.Add(1)
+		s.met.queryErrors.Inc()
 		return Response{Error: err.Error()}
 	}
 	timeout := s.cfg.DefaultTimeout
@@ -1270,10 +1241,10 @@ func (s *Server) doQuery(_ *connState, req *Request) Response {
 	res, err := plan.ExecuteWith(ctx, sn.g, sn.memo)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			s.timeouts.Add(1)
+			s.met.timeouts.Inc()
 			return Response{Error: fmt.Sprintf("timeout: query exceeded %v", timeout)}
 		}
-		s.queryErrors.Add(1)
+		s.met.queryErrors.Inc()
 		return Response{Error: err.Error()}
 	}
 	cols, rows := encodeResult(res)
@@ -1291,7 +1262,7 @@ func (s *Server) doExplain(_ *connState, req *Request) Response {
 }
 
 func (s *Server) doDrain(*connState, *Request) Response {
-	s.drains.Add(1)
+	s.met.drains.Inc()
 	if err := s.w.Drain(); err != nil {
 		return Response{Error: err.Error()}
 	}
@@ -1314,99 +1285,4 @@ func (s *Server) doCheckpointVerb(*connState, *Request) Response {
 		Records:       info.Records,
 		SnapshotBytes: info.SnapshotBytes,
 	}}
-}
-
-func (s *Server) snapshotStats() *Stats {
-	// DB.Stats reads the same counters the view would pin, without bumping
-	// the store's write epoch (a view taken here would force the ingest
-	// writer to re-clone every node it touches next batch, for nothing).
-	records, prov, idx := s.w.DB.Stats()
-	st := &Stats{
-		Records:     records,
-		ProvBytes:   prov,
-		IdxBytes:    idx,
-		Queries:     s.queries.Load(),
-		QueryErrors: s.queryErrors.Load(),
-		Timeouts:    s.timeouts.Load(),
-		Shed:        s.met.shed.Total(),
-		Drains:      s.drains.Load(),
-		Conns:       int64(s.ConnCount()),
-		V3Conns:     s.v3Conns.Load(),
-		Workers:     s.cfg.Workers,
-		CacheHits:   s.cacheHits.Load(),
-		CacheMisses: s.cacheMisses.Load(),
-
-		Gen:            s.w.DB.Gen(),
-		EntriesDecoded: s.w.EntriesDecoded(),
-
-		Checkpoints:           s.checkpoints.Load(),
-		CheckpointErrors:      s.checkpointErrors.Load(),
-		LastCheckpointGen:     s.lastCkptGen.Load(),
-		CheckpointDeltas:      s.checkpointDeltas.Load(),
-		CheckpointFullBytes:   s.checkpointFullBytes.Load(),
-		CheckpointDeltaBytes:  s.checkpointDeltaBytes.Load(),
-		CheckpointSweepErrors: s.checkpointSweepErrors.Load(),
-		Appends:               s.appends.Load(),
-
-		Mkobjs:  s.mkobjs.Load(),
-		Revives: s.revives.Load(),
-		Batches: s.batches.Load(),
-		Objects: s.reg.count(),
-
-		Verbs:         s.met.verbCounts(),
-		QuotaRefusals: s.met.quotaRefused.Total(),
-		Tenants:       s.met.tenantSnapshot(),
-	}
-	if p := s.cfg.Replicate; p != nil {
-		st.Role = "primary"
-		st.ReplQuorum = p.Quorum()
-		st.QuorumFailures = s.quorumFailures.Load()
-		var connected int64
-		followers := p.Followers()
-		for _, f := range followers {
-			if f.Connected {
-				connected++
-			}
-		}
-		st.ReplFollowers = int64(len(followers))
-		st.ReplConnected = connected
-	}
-	if s.cfg.Follower != nil {
-		st.Role = "follower"
-		st.ReplBytes = s.cfg.Follower.Size()
-	}
-	if r := s.cfg.Recovered; r != nil && r.DB != nil {
-		st.RecoveredGen = r.Gen
-		st.RecoveredRecords = r.Records
-		st.ResumeBytes = r.ResumeBytes()
-	}
-	if r := s.cfg.Recovered; r != nil {
-		st.SkippedGens = int64(len(r.Skipped))
-		if len(r.Skipped) > 0 {
-			st.RecoverySkips = make(map[string]int64, len(r.Skipped))
-			for _, sk := range r.Skipped {
-				st.RecoverySkips[skipClass(sk.Class)]++
-			}
-		}
-	}
-	if t := s.cfg.Tamper; t != nil {
-		m := t.MMR()
-		root := m.Root()
-		st.MMRLeaves = m.Count()
-		st.MMRRoot = hex.EncodeToString(root[:])
-		st.MMRPruned = m.Pruned()
-	}
-	st.ForkRefusals = s.forkRefusals.Load()
-	st.Verifies = s.verifies.Load()
-	return st
-}
-
-// skipClass normalizes a recovery skip's class label for the bounded
-// label sets STATS and /metrics share (pre-classification generations
-// recorded no class).
-func skipClass(c string) string {
-	if c == "" {
-		return checkpoint.SkipOther
-	}
-	return c
 }

@@ -71,19 +71,19 @@ func (s *Server) checkFork(req *Request) error {
 	// chunk. Feed poisons itself on a frame whose CRC fails — bytes the
 	// primary never wrote — and stays poisoned after a detected fork.
 	if err := f.Feed(req.Off, req.Data); err != nil {
-		s.forkRefusals.Add(1)
+		s.met.forkRefusals.Inc()
 		return fmt.Errorf("replappend: %v: %w", err, ErrForked)
 	}
 	got, err := f.RootAt(req.MMRSize)
 	if err != nil {
-		s.forkRefusals.Add(1)
+		s.met.forkRefusals.Inc()
 		f.Poison(fmt.Errorf("%w: primary claims %d leaves: %v", ErrForked, req.MMRSize, err))
 		return fmt.Errorf("replappend: root claim at %d leaves unanswerable (%v): %w", req.MMRSize, err, ErrForked)
 	}
 	var want mmr.Hash
 	copy(want[:], claimed)
 	if got != want {
-		s.forkRefusals.Add(1)
+		s.met.forkRefusals.Inc()
 		f.Poison(fmt.Errorf("%w: root mismatch at %d leaves", ErrForked, req.MMRSize))
 		return fmt.Errorf("replappend: root mismatch at %d leaves: primary claims %s, local log has %s: %w",
 			req.MMRSize, req.MMRRoot, hex.EncodeToString(got[:]), ErrForked)
@@ -122,7 +122,7 @@ func (s *Server) doVerify(_ *connState, req *Request) Response {
 	if t == nil {
 		return Response{Error: "verify: tamper evidence is not enabled on this daemon"}
 	}
-	s.verifies.Add(1)
+	s.met.verifies.Inc()
 	op := strings.ToLower(req.VerifyOp)
 	if op == "" {
 		op = "root"

@@ -131,6 +131,64 @@ func NewWriter(fs vfs.FS, dir string, maxSize int64) (*Writer, error) {
 	return w, nil
 }
 
+// CutTornTail cuts a torn final frame off the active log. A crash
+// mid-append leaves one at the end of the log; a frame appended after it
+// would sit where no scan reaches, so a writer that appends cuts first.
+// The torn bytes were never synced, so no acknowledged entry goes with
+// them. A bad frame is torn only if no intact frame starts anywhere after
+// it: a bad frame with an intact one behind it is damage, not a crash
+// (a flipped bit in a length or a body), and is left in place, for
+// AttachMMR to refuse and the operator to see. from is a global log
+// offset known to start a frame (an MMR cursor, a checkpointed offset,
+// or 0); the scan starts there. Call it before the first append.
+func (w *Writer) CutTornTail(from int64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.buf) > 0 {
+		return errors.New("provlog: torn-tail cut after an append")
+	}
+	off := from - w.globalBase
+	if off < 0 || off > w.size {
+		off = 0
+	}
+	end, err := scanFramesFrom(w.fs, vfs.Join(w.dir, CurrentName), off, func(int64, []byte) error { return nil })
+	if !errors.Is(err, ErrTorn) {
+		return err
+	}
+	rest := make([]byte, w.size-end)
+	if _, err := w.f.ReadAt(rest, end); err != nil {
+		return err
+	}
+	if frameStartsIn(rest[1:]) {
+		return nil
+	}
+	if err := w.f.Truncate(end); err != nil {
+		return err
+	}
+	w.size = end
+	return w.f.Sync()
+}
+
+// frameStartsIn reports whether an intact frame (length, body, matching
+// CRC) starts at any byte of b.
+func frameStartsIn(b []byte) bool {
+	for q := 0; q+9 <= len(b); q++ {
+		n := int(binary.LittleEndian.Uint32(b[q:]))
+		if n >= 1 && n <= len(b)-q-8 && crc32.ChecksumIEEE(b[q+4:q+4+n]) == binary.LittleEndian.Uint32(b[q+4+n:]) {
+			return true
+		}
+	}
+	return false
+}
+
+// Close flushes buffered entries and closes the active log. The writer
+// must not be used afterwards.
+func (w *Writer) Close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return errors.Join(w.flushLocked(), w.f.Close())
+}
+
 // Notify returns the rotation notification channel.
 func (w *Writer) Notify() <-chan string { return w.notify }
 

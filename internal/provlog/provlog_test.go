@@ -185,6 +185,110 @@ func TestTornTailDetected(t *testing.T) {
 	}
 }
 
+// TestCutTornTailResumesAfterIntactPrefix: a writer reopened over a
+// torn tail cuts it, so entries it appends next are scanned, and a scan
+// hint at or past the log end still finds the tear.
+func TestCutTornTailResumesAfterIntactPrefix(t *testing.T) {
+	for _, from := range []int64{0, 1 << 20} {
+		w, fs := newLog(t)
+		w.AppendRecord(0, record.Input(ref(1, 1), ref(2, 1)))
+		w.AppendRecord(0, record.Input(ref(3, 1), ref(4, 1)))
+		intact := w.Size()
+		w.AppendRecord(0, record.Input(ref(5, 1), ref(6, 1)))
+		f, err := fs.Open("/.prov/"+CurrentName, vfs.ORdWr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Truncate(intact + 7)
+		f.Close()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		w, err = NewWriter(fs, "/.prov", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.CutTornTail(from); err != nil || w.Size() != intact {
+			t.Fatalf("from %d: cut to %d bytes (%v), want %d", from, w.Size(), err, intact)
+		}
+		if err := w.CutTornTail(0); err != nil || w.Size() != intact {
+			t.Fatalf("second cut over an intact log: %d bytes, %v", w.Size(), err)
+		}
+		w.AppendRecord(0, record.Input(ref(7, 1), ref(8, 1)))
+		var n int
+		if err := ScanFile(fs, "/.prov/"+CurrentName, func(Entry) error { n++; return nil }); err != nil || n != 3 {
+			t.Fatalf("from %d: scan after the cut: %d entries, %v; want 3 intact", from, n, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCutTornTailOnlyCutsTheFinalFrame: the cut takes a bad frame only
+// when no intact frame follows it (a torn prefix, a zero-filled tail).
+// Damage to a frame with an intact one after it is left on disk,
+// whatever the scan hint.
+func TestCutTornTailOnlyCutsTheFinalFrame(t *testing.T) {
+	flip := func(off int64) func(vfs.File) {
+		return func(f vfs.File) {
+			b := make([]byte, 1)
+			f.ReadAt(b, off)
+			f.WriteAt([]byte{b[0] ^ 0x40}, off)
+		}
+	}
+	// Frames: [0, s1) [s1, s2) [s2, end).
+	w, fs := newLog(t)
+	w.AppendRecord(0, record.Input(ref(1, 1), ref(2, 1)))
+	s1 := w.Size()
+	w.AppendRecord(0, record.Input(ref(3, 1), ref(4, 1)))
+	s2 := w.Size()
+	w.AppendRecord(0, record.Input(ref(5, 1), ref(6, 1)))
+	end := w.Size()
+	w.Close()
+	clean, err := vfs.ReadFile(fs, "/.prov/"+CurrentName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(vfs.File)
+		want   int64
+	}{
+		{"short header", func(f vfs.File) { f.Truncate(s2 + 3) }, s2},
+		{"length past the end", func(f vfs.File) { f.Truncate(end - 1) }, s2},
+		{"bad CRC on the final frame", flip(s2 + 6), s2},
+		{"bad CRC mid-log", flip(s1 + 6), end},
+		{"length damaged mid-log", flip(s1), end},
+		{"zero-filled tail", func(f vfs.File) { f.WriteAt(make([]byte, 64), end) }, end},
+		{"bad CRC on the first frame", flip(6), end},
+	} {
+		for _, from := range []int64{0, s1} {
+			fs := vfs.NewMemFS("lower", nil)
+			fs.MkdirAll("/.prov")
+			f, err := fs.Open("/.prov/"+CurrentName, vfs.OCreate|vfs.ORdWr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteAt(clean, 0)
+			tc.damage(f)
+			f.Close()
+			w, err := NewWriter(fs, "/.prov", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.CutTornTail(from); err != nil || w.Size() != tc.want {
+				t.Errorf("%s, from %d: %d bytes left (%v), want %d", tc.name, from, w.Size(), err, tc.want)
+			}
+			if st, _ := fs.Stat("/.prov/" + CurrentName); st.Size != w.Size() {
+				t.Errorf("%s, from %d: file holds %d bytes, writer %d", tc.name, from, st.Size, w.Size())
+			}
+			w.Close()
+		}
+	}
+}
+
 func TestCorruptCRCDetected(t *testing.T) {
 	w, fs := newLog(t)
 	w.AppendRecord(0, record.Input(ref(1, 1), ref(2, 1)))

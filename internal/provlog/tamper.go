@@ -147,7 +147,13 @@ func RebuildMMR(fs vfs.FS, dir, volume string) (*mmr.MMR, error) {
 // LoadMMR opens the log's MMR cheaply: resume in pruned mode from the
 // peak file and hash only the frames past its cursor. Any problem with
 // the peak file — missing, corrupt, or pointing past the log end — falls
-// back to a full rebuild, never to a wrong answer.
+// back to a full rebuild, never to a wrong answer. So do bytes left past
+// a saved cursor that catch-up could not move: a torn frame right at the
+// cursor, or a cursor off this log's frame grid, and only a scan from
+// the start tells the two apart. Once catch-up has hashed an intact frame
+// from the cursor, the cursor was on the grid and bytes past the new one
+// are a torn tail (or damage), left to the writer's cut. The cursor
+// LoadMMR returns therefore always ends an intact frame of this log.
 func LoadMMR(fs vfs.FS, dir, volume string) (*mmr.MMR, error) {
 	dir = vfs.Clean(dir)
 	b, err := readFile(fs, vfs.Join(dir, MMRStateName))
@@ -165,7 +171,29 @@ func LoadMMR(fs vfs.FS, dir, volume string) (*mmr.MMR, error) {
 	if err := catchUp(fs, dir, volume, m); err != nil {
 		return RebuildMMR(fs, dir, volume)
 	}
+	if m.Cursor() == st.Cursor {
+		if _, size, err := logSize(fs, dir); err != nil || size != st.Cursor {
+			return RebuildMMR(fs, dir, volume)
+		}
+	}
 	return m, nil
+}
+
+// logSize lists a volume's log files and sums their sizes.
+func logSize(fs vfs.FS, dir string) ([]string, int64, error) {
+	files, err := LogFiles(fs, dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	var total int64
+	for _, path := range files {
+		st, err := fs.Stat(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		total += st.Size
+	}
+	return files, total, nil
 }
 
 // SaveMMR persists a peak-file snapshot atomically (tmp + rename).
@@ -274,17 +302,9 @@ func LoadFeeder(fs vfs.FS, dir, volume string) (*TailFeeder, error) {
 	// Any bytes past the MMR cursor are a partial frame at the very end
 	// of the last file (catchUp rejects gaps anywhere else).
 	var pending []byte
-	files, err := LogFiles(fs, dir)
+	files, total, err := logSize(fs, dir)
 	if err != nil {
 		return nil, err
-	}
-	total := int64(0)
-	for _, path := range files {
-		st, err := fs.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-		total += st.Size
 	}
 	if cur := m.Cursor(); cur < total {
 		if len(files) == 0 {

@@ -243,6 +243,73 @@ func TestLoadMMRFallsBackOnBadState(t *testing.T) {
 	if err != nil || m.Pruned() || m.Root() != root {
 		t.Fatalf("stale state: %v pruned=%v", err, m.Pruned())
 	}
+	// State whose cursor sits inside the log but off its frame grid (state
+	// taken over a different log): catching up from it finds only "torn"
+	// bytes, and the cursor must not stop there.
+	offGrid := st
+	offGrid.Cursor -= 3
+	if err := SaveMMR(fs, "/log", offGrid); err != nil {
+		t.Fatal(err)
+	}
+	m, err = LoadMMR(fs, "/log", "vol")
+	if err != nil || m.Pruned() || m.Root() != root || m.Cursor() != w.Size() {
+		t.Fatalf("off-grid state: %v pruned=%v cursor %d of %d", err, m.Pruned(), m.Cursor(), w.Size())
+	}
+}
+
+// TestLoadMMRResumesOverTornTail: a torn frame past at least one frame
+// hashed from the saved cursor keeps the cheap resume, with the cursor at
+// the end of the last intact frame. A torn frame right at the saved
+// cursor is the ambiguous case, and rebuilds.
+func TestLoadMMRResumesOverTornTail(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		pastState  int
+		wantPruned bool
+	}{
+		{"frames past the state", 5, true},
+		{"tear at the state's cursor", 0, false},
+	} {
+		fs := vfs.NewMemFS("lower", nil)
+		w, err := NewWriter(fs, "/log", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AttachMMR(mmr.New(), "vol"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			w.AppendRecord(0, tamperRecord(i))
+		}
+		st, _, _, err := w.SyncTamper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveMMR(fs, "/log", st); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.pastState; i++ {
+			w.AppendRecord(0, tamperRecord(5+i))
+		}
+		_, count, root, err := w.SyncTamper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		intact := w.Size()
+		w.AppendRecord(0, tamperRecord(99))
+		w.Close()
+		f, err := fs.Open("/log/"+CurrentName, vfs.ORdWr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Truncate(intact + 5)
+		f.Close()
+
+		m, err := LoadMMR(fs, "/log", "vol")
+		if err != nil || m.Pruned() != tc.wantPruned || m.Count() != count || m.Root() != root || m.Cursor() != intact {
+			t.Fatalf("%s: %v pruned=%v count %d of %d cursor %d of %d", tc.name, err, m.Pruned(), m.Count(), count, m.Cursor(), intact)
+		}
+	}
 }
 
 // TestRehydrateDetectsDoctoredState: a peak file whose peaks do not

@@ -35,9 +35,6 @@ const (
 	OExcl
 )
 
-// May reports whether the flags permit reading / writing.
-func (f Flags) MayRead() bool { return f&OWrOnly == 0 }
-
 // MayWrite reports whether the open flags permit writing.
 func (f Flags) MayWrite() bool { return f&(OWrOnly|ORdWr|OAppend|OTrunc) != 0 }
 

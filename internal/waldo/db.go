@@ -65,7 +65,6 @@ func appendRefKey(dst []byte, r pnode.Ref) []byte {
 }
 
 func pnKey(pn pnode.PNode) string     { return string(appendHex64(nil, uint64(pn))) }
-func verKey(v pnode.Version) string   { return string(appendHex32(nil, uint32(v))) }
 func refKey(r pnode.Ref) string       { return string(appendRefKey(nil, r)) }
 func parsePN(s string) pnode.PNode    { n, _ := strconv.ParseUint(s, 16, 64); return pnode.PNode(n) }
 func parseVer(s string) pnode.Version { n, _ := strconv.ParseUint(s, 16, 32); return pnode.Version(n) }
