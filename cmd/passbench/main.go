@@ -2,7 +2,10 @@
 // record types each provenance-aware application collects), Table 2
 // (elapsed-time overheads, PASSv2 vs ext3 and PA-NFS vs NFS, across the
 // five workloads) and Table 3 (space overheads), printing measured rows
-// next to the published numbers.
+// next to the published numbers. Its other modes each measure one claim
+// and write it as JSON for CI to gate. Waldo ingestion, the PQL planner
+// and concurrent serving are measured by the root package's Go benchmarks
+// (BenchmarkWaldoIngest, BenchmarkPQLQuery, BenchmarkConcurrentQuery).
 //
 // Usage:
 //
@@ -11,9 +14,6 @@
 //	passbench -table 2 -nfs       # NFS only
 //	passbench -table 3            # space overheads
 //	passbench -table 1            # record-type inventory
-//	passbench -ingest             # Waldo log→database pipeline throughput
-//	passbench -query              # PQL planner vs naive evaluator
-//	passbench -serve              # passd concurrent serving vs serialized queries
 //	passbench -recover            # checkpoint recovery vs from-zero re-ingest (BENCH_recover.json)
 //	passbench -disclose           # remote DPAPI disclosure, per-record vs batched (BENCH_disclose.json)
 //	passbench -replicate          # hedged vs unhedged reads on a replicated group (BENCH_replicate.json)
@@ -21,13 +21,13 @@
 //	passbench -verify             # tamper-evidence costs: MMR ingest overhead, proofs, audit (BENCH_verify.json)
 //	passbench -all                # everything
 //	passbench -scale 0.4          # workload scale (1.0 = paper-sized)
-//	passbench -records 100000     # ingest benchmark size
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -40,16 +40,6 @@ func main() {
 	scale := flag.Float64("scale", 0.4, "workload scale in (0,1]; 1.0 is paper-sized")
 	localOnly := flag.Bool("local", false, "table 2: only the PASSv2-vs-ext3 half")
 	nfsOnly := flag.Bool("nfs", false, "table 2: only the PA-NFS-vs-NFS half")
-	ingest := flag.Bool("ingest", false, "measure Waldo ingestion throughput (records/sec)")
-	records := flag.Int("records", 50000, "ingest: records in the cold-ingest log")
-	drains := flag.Int("drains", 200, "ingest: incremental drains in the steady-state phase")
-	batch := flag.Int("batch", 50, "ingest: records appended before each steady-state drain")
-	query := flag.Bool("query", false, "measure the PQL planner vs the naive evaluator")
-	queryRecords := flag.Int("query-records", 120000, "query: records in the benchmark database")
-	serve := flag.Bool("serve", false, "measure passd concurrent serving vs serialized in-process queries")
-	serveRecords := flag.Int("serve-records", 24000, "serve: records in the benchmark database")
-	serveClients := flag.Int("serve-clients", 16, "serve: concurrent passd clients")
-	serveSecs := flag.Float64("serve-secs", 3.0, "serve: seconds per measured phase")
 	recoverFlag := flag.Bool("recover", false, "measure checkpoint recovery vs from-zero re-ingest")
 	recoverRecords := flag.Int("recover-records", 120000, "recover: records ingested before the checkpoint")
 	recoverTail := flag.Int("recover-tail", 2000, "recover: records appended after the checkpoint")
@@ -76,65 +66,66 @@ func main() {
 	verifyJSON := flag.String("verify-json", "BENCH_verify.json", "verify: file for the JSON result (empty = don't write)")
 	flag.Parse()
 
-	if *ingest || *all {
-		runIngest(*records, *drains, *batch)
-		if !*all {
-			return
+	// Each mode runs its measurement, prints it and writes the result to
+	// its JSON file; -all runs every mode, then every table.
+	modes := []struct {
+		on   bool
+		json string
+		run  func() (any, error)
+	}{
+		{*recoverFlag, *recoverJSON, func() (any, error) {
+			return printed(bench.PrintRecover)(bench.Recover(*recoverRecords, *recoverTail))
+		}},
+		{*disclose, *discloseJSON, func() (any, error) {
+			return printed(bench.PrintDisclose)(bench.Disclose(*discloseRecords, *discloseBatch))
+		}},
+		{*replicate, *replJSON, func() (any, error) {
+			return printed(bench.PrintReplicate)(bench.Replicate(*replRecords, *replQueries, *replSlow, *replHedge))
+		}},
+		{*swarm, *swarmJSON, func() (any, error) {
+			return printed(bench.PrintSwarm)(bench.Swarm(*swarmSessions, *swarmConns, *swarmSecs, *swarmTenantSecs))
+		}},
+		{*verifyFlag, *verifyJSON, func() (any, error) {
+			return printed(bench.PrintVerify)(bench.Verify(*verifyRecords, *verifyProofs))
+		}},
+	}
+	ran := false
+	for _, m := range modes {
+		if !m.on && !*all {
+			continue
+		}
+		ran = true
+		res, err := m.run()
+		die(err)
+		if m.json != "" {
+			data, err := json.MarshalIndent(res, "", "  ")
+			die(err)
+			die(os.WriteFile(m.json, append(data, '\n'), 0o644))
+			fmt.Printf("  wrote %s\n", m.json)
 		}
 	}
-	if *query || *all {
-		runQuery(*queryRecords)
-		if !*all {
-			return
-		}
-	}
-	if *serve || *all {
-		runServe(*serveRecords, *serveClients, *serveSecs)
-		if !*all {
-			return
-		}
-	}
-	if *recoverFlag || *all {
-		runRecover(*recoverRecords, *recoverTail, *recoverJSON)
-		if !*all {
-			return
-		}
-	}
-	if *disclose || *all {
-		runDisclose(*discloseRecords, *discloseBatch, *discloseJSON)
-		if !*all {
-			return
-		}
-	}
-	if *replicate || *all {
-		runReplicate(*replRecords, *replQueries, *replSlow, *replHedge, *replJSON)
-		if !*all {
-			return
-		}
-	}
-	if *swarm || *all {
-		runSwarm(*swarmSessions, *swarmConns, *swarmSecs, *swarmTenantSecs, *swarmJSON)
-		if !*all {
-			return
-		}
-	}
-	if *verifyFlag || *all {
-		runVerify(*verifyRecords, *verifyProofs, *verifyJSON)
-		if !*all {
-			return
-		}
-	}
-	if *all {
+	switch {
+	case *all:
 		runTable(1, *scale, false, false)
 		runTable(2, *scale, false, false)
 		runTable(3, *scale, false, false)
-		return
-	}
-	if *table == 0 {
+	case *table != 0:
+		runTable(*table, *scale, *localOnly, *nfsOnly)
+	case !ran:
 		flag.Usage()
 		os.Exit(2)
 	}
-	runTable(*table, *scale, *localOnly, *nfsOnly)
+}
+
+// printed adapts a result printer to a measurement's (result, error)
+// pair: it prints a successful result to stdout and passes both on.
+func printed[R any](print func(io.Writer, R)) func(R, error) (any, error) {
+	return func(res R, err error) (any, error) {
+		if err == nil {
+			print(os.Stdout, res)
+		}
+		return res, err
+	}
 }
 
 func runTable(table int, scale float64, localOnly, nfsOnly bool) {
@@ -161,84 +152,6 @@ func runTable(table int, scale float64, localOnly, nfsOnly bool) {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %d\n", table)
 		os.Exit(2)
-	}
-}
-
-func runIngest(records, drains, batch int) {
-	res, err := bench.Ingest(records, drains, batch)
-	die(err)
-	bench.PrintIngest(os.Stdout, res)
-}
-
-func runQuery(records int) {
-	res, err := bench.Query(records)
-	die(err)
-	bench.PrintQuery(os.Stdout, res)
-}
-
-func runServe(records, clients int, secs float64) {
-	res, err := bench.Serve(records, clients, secs)
-	die(err)
-	bench.PrintServe(os.Stdout, res)
-}
-
-func runRecover(records, tail int, jsonPath string) {
-	res, err := bench.Recover(records, tail)
-	die(err)
-	bench.PrintRecover(os.Stdout, res)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		die(err)
-		die(os.WriteFile(jsonPath, append(data, '\n'), 0o644))
-		fmt.Printf("  wrote %s\n", jsonPath)
-	}
-}
-
-func runDisclose(records, batch int, jsonPath string) {
-	res, err := bench.Disclose(records, batch)
-	die(err)
-	bench.PrintDisclose(os.Stdout, res)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		die(err)
-		die(os.WriteFile(jsonPath, append(data, '\n'), 0o644))
-		fmt.Printf("  wrote %s\n", jsonPath)
-	}
-}
-
-func runVerify(records, proofs int, jsonPath string) {
-	res, err := bench.Verify(records, proofs)
-	die(err)
-	bench.PrintVerify(os.Stdout, res)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		die(err)
-		die(os.WriteFile(jsonPath, append(data, '\n'), 0o644))
-		fmt.Printf("  wrote %s\n", jsonPath)
-	}
-}
-
-func runReplicate(records, queries int, slow, hedge time.Duration, jsonPath string) {
-	res, err := bench.Replicate(records, queries, slow, hedge)
-	die(err)
-	bench.PrintReplicate(os.Stdout, res)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		die(err)
-		die(os.WriteFile(jsonPath, append(data, '\n'), 0o644))
-		fmt.Printf("  wrote %s\n", jsonPath)
-	}
-}
-
-func runSwarm(sessions, conns int, secs, tenantSecs float64, jsonPath string) {
-	res, err := bench.Swarm(sessions, conns, secs, tenantSecs)
-	die(err)
-	bench.PrintSwarm(os.Stdout, res)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		die(err)
-		die(os.WriteFile(jsonPath, append(data, '\n'), 0o644))
-		fmt.Printf("  wrote %s\n", jsonPath)
 	}
 }
 

@@ -116,9 +116,6 @@ func main() {
 				rec.Gen, rec.Records, rec.SnapshotBytes)
 		}
 	}
-	if b.TamperOff != nil {
-		fmt.Fprintf(os.Stderr, "passd: tamper evidence disabled: %v\n", b.TamperOff)
-	}
 	for _, name := range b.DroppedVolumes {
 		fmt.Printf("passd: checkpointed volume %q has no attached log; its offsets were dropped\n", name)
 	}

@@ -7,13 +7,15 @@
 // colleague silently modifies one input file directly on the first server.
 // The second run's output differs; only the INTEGRATED provenance — Kepler
 // operators + local files + both servers' files, joined in one graph —
-// can show why.
+// can show why. The program exits non-zero if the joined ancestry does not
+// reach the modified input's new version through the workflow operators.
 package main
 
 import (
 	"bytes"
 	"fmt"
 	"log"
+	"strings"
 
 	"passv2/internal/kepler"
 	"passv2/internal/vfs"
@@ -111,17 +113,28 @@ func main() {
 		inDB, outDB)
 	must(err)
 	fmt.Println("\nWith layering (client + both servers joined):")
-	fmt.Print(res.Format())
+	ancestry := res.Format()
+	fmt.Print(ancestry)
+	for _, want := range []string{"anatomy2.img", "softmean", "@v2"} {
+		if !strings.Contains(ancestry, want) {
+			log.Fatalf("the joined ancestry misses %q", want)
+		}
+	}
 
 	// Pinpoint the culprit: an ancestor file on the input server with
 	// more than one version.
 	fmt.Println("Input files with multiple versions (the modified ones):")
+	modified := false
 	for _, pn := range inDB.AllPNodes() {
 		if vs := inDB.Versions(pn); len(vs) > 1 {
 			if name, ok := inDB.NameOf(pn); ok {
 				fmt.Printf("  %s: versions %v  ← modified between runs\n", name, vs)
+				modified = modified || strings.HasSuffix(name, "/anatomy2.img")
 			}
 		}
+	}
+	if !modified {
+		log.Fatal("the modified input anatomy2.img has no version history")
 	}
 }
 
@@ -129,11 +142,4 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,8 @@
 // web, copies them into her presentation directory, and months later —
 // with the browser history gone and some pages offline — needs proper
 // attribution. The browser alone loses the connection when a file is
-// moved; PASSv2 keeps file and provenance connected across renames.
+// moved; PASSv2 keeps file and provenance connected across renames. The
+// program exits non-zero if a renamed file's FILE_URL is lost.
 package main
 
 import (
@@ -64,16 +65,22 @@ func main() {
 	must2(m.Drain())
 	db := m.Waldo.DB
 	fmt.Println("Attribution recovered from provenance:")
-	for _, f := range []string{"/home/talk/figure1.png", "/home/talk/quote.txt"} {
-		pns := db.ByName(f)
+	for _, f := range []struct{ path, url string }{
+		{"/home/talk/figure1.png", "http://stats.example/growth/chart.png"},
+		{"/home/talk/quote.txt", "http://quotes.example/keynote.txt"},
+	} {
+		pns := db.ByName(f.path)
 		if len(pns) == 0 {
-			log.Fatalf("%s not in provenance database", f)
+			log.Fatalf("%s not in provenance database", f.path)
 		}
 		v, _ := db.LatestVersion(pns[0])
 		ref := pnode.Ref{PNode: pns[0], Version: v}
 		url := firstString(db.AttrValues(ref, record.AttrFileURL))
 		page := firstString(db.AttrValues(ref, record.AttrCurrentURL))
-		fmt.Printf("  %s\n    downloaded from: %s\n    while viewing:   %s\n", f, url, page)
+		fmt.Printf("  %s\n    downloaded from: %s\n    while viewing:   %s\n", f.path, url, page)
+		if url != f.url {
+			log.Fatalf("%s: FILE_URL %s after the rename, want %s", f.path, url, f.url)
+		}
 	}
 
 	// The session's full trail is there too.

@@ -3,7 +3,8 @@
 // ones matching a stress classification. PASS alone says the plot derives
 // from ALL the files; PA-Python alone knows the documents but not their
 // files. Layered, the query reports exactly the XML documents that
-// contributed — and the files they came from.
+// contributed — and the files they came from. The program exits non-zero
+// if the disclosed inputs are not exactly the documents the script used.
 package main
 
 import (
@@ -68,6 +69,9 @@ func main() {
 		}
 	}
 	fmt.Printf("Layered PA-Python/PASSv2 (disclosed dependencies): %d XML files.\n", used)
+	if used != res.Used {
+		log.Fatalf("disclosed %d direct XML inputs, want the %d used", used, res.Used)
+	}
 	fmt.Println("First few:")
 	for _, s := range sample {
 		fmt.Println("  ", s)

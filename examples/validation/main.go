@@ -3,6 +3,7 @@
 // which results are tainted. PASS alone can tell which outputs used the
 // new library; PA-Python alone which used the routine; the layered join
 // identifies outputs that descend from BOTH — exactly the incorrect data.
+// The program exits non-zero if a verdict is wrong.
 package main
 
 import (

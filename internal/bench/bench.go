@@ -3,8 +3,11 @@
 // PA-NFS vs NFS, across five workloads) and Table 3 (space overheads),
 // plus Table 1 (the record types each provenance-aware application
 // collects) — and prints rows in the paper's format side by side with the
-// published numbers. cmd/passbench and the root bench_test.go both drive
-// this package.
+// published numbers. It also holds the measurements cmd/passbench writes
+// as BENCH_*.json (Recover, Disclose, Replicate, Swarm, Verify) and the
+// workloads two of the root package's Go benchmarks run (QueryDataset for
+// BenchmarkPQLQuery, Serve for BenchmarkConcurrentQuery). Each measurement
+// has one driver: passbench or a Go benchmark, never both.
 package bench
 
 import (

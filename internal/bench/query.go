@@ -2,13 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"strings"
-	"time"
 
 	"passv2/internal/graph"
 	"passv2/internal/pnode"
-	"passv2/internal/pql"
 	"passv2/internal/record"
 	"passv2/internal/waldo"
 )
@@ -55,81 +51,4 @@ func QueryDataset(records int) (*waldo.DB, *graph.Graph, string) {
 	target := (files / queryChain) * queryChain
 	q := fmt.Sprintf(`select A from Provenance.file as F F.input* as A where F.name = "/q/f%d"`, target)
 	return db, graph.New(db), q
-}
-
-// QueryBenchResult reports the planned-vs-naive comparison for one
-// selective query over one database.
-type QueryBenchResult struct {
-	Records int     // records applied to the database
-	Query   string  // the measured query
-	Rows    int     // result rows (identical both ways)
-	NaiveMS float64 // one naive (cross-product) evaluation
-	PlanMS  float64 // one planned evaluation (fresh plan + memo each run)
-	Speedup float64
-	Plan    string // the executed plan, for the report
-}
-
-// Query measures the planner win: the same parsed query evaluated by the
-// naive cross-product evaluator and by the planner/executor, over a
-// database of at least `records` provenance records. The two result sets
-// are verified identical before any number is reported.
-func Query(records int) (QueryBenchResult, error) {
-	db, g, src := QueryDataset(records)
-	q, err := pql.Parse(src)
-	if err != nil {
-		return QueryBenchResult{}, err
-	}
-	res := QueryBenchResult{Query: src, Plan: pql.PlanQuery(q).Describe()}
-	recs, _, _ := db.Stats()
-	res.Records = int(recs)
-
-	start := time.Now()
-	naive, err := pql.EvalNaive(g, q)
-	if err != nil {
-		return res, err
-	}
-	res.NaiveMS = float64(time.Since(start).Microseconds()) / 1e3
-
-	// Best of three planned runs: each run re-plans and uses a fresh memo,
-	// so nothing is amortized across runs.
-	for i := 0; i < 3; i++ {
-		start = time.Now()
-		planned, err := pql.Eval(g, q)
-		if err != nil {
-			return res, err
-		}
-		ms := float64(time.Since(start).Microseconds()) / 1e3
-		if i == 0 || ms < res.PlanMS {
-			res.PlanMS = ms
-		}
-		if planned.Format() != naive.Format() {
-			return res, fmt.Errorf("bench: planned and naive results differ")
-		}
-		res.Rows = len(planned.Rows)
-	}
-	if res.PlanMS > 0 {
-		res.Speedup = res.NaiveMS / res.PlanMS
-	}
-	return res, nil
-}
-
-// PrintQuery renders a QueryBenchResult.
-func PrintQuery(w io.Writer, r QueryBenchResult) {
-	fmt.Fprintf(w, "PQL query planner (selective ancestor query)\n")
-	fmt.Fprintf(w, "  database: %d records\n", r.Records)
-	fmt.Fprintf(w, "  query:    %s\n", r.Query)
-	fmt.Fprintf(w, "  naive:    %10.3f ms  (cross-product evaluator)\n", r.NaiveMS)
-	fmt.Fprintf(w, "  planned:  %10.3f ms  (%d rows, identical results)\n", r.PlanMS, r.Rows)
-	fmt.Fprintf(w, "  speedup:  %10.1fx\n", r.Speedup)
-	fmt.Fprint(w, indent(r.Plan, "  "))
-}
-
-func indent(s, pad string) string {
-	var sb strings.Builder
-	for _, line := range strings.Split(strings.TrimSuffix(s, "\n"), "\n") {
-		sb.WriteString(pad)
-		sb.WriteString(line)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -35,31 +34,19 @@ const serveQueryMix = 16
 // query path — serialized in-process Drain-then-evaluate, the
 // pass.Machine.Query contract — under the same live log-append load.
 type ServeBenchResult struct {
-	Records int     // records in the database before the run
-	Query   string  // the measured query
-	Clients int     // concurrent passd clients
-	Secs    float64 // measured duration of each phase
-
-	BaselineQueries int64   // queries completed in the baseline phase
-	BaselineQPS     float64 // serialized Drain-then-evaluate queries/sec
-	BaselineIngests int64   // records appended to the log during the baseline phase
-	ServeQueries    int64   // queries completed in the serving phase
-	ServeQPS        float64 // aggregate passd queries/sec
-	ServeIngests    int64   // records appended to the log during the serving phase
-	Speedup         float64
-	Shed            int64 // queries refused by backpressure (0 expected)
-	CacheHits       int64 // serve-phase queries answered from a snapshot's result cache
-	CacheMisses     int64 // serve-phase queries that executed (once per text per snapshot)
+	BaselineQPS float64 // serialized Drain-then-evaluate queries/sec
+	ServeQPS    float64 // aggregate passd queries/sec
+	Speedup     float64
+	Shed        int64 // queries refused by backpressure (0 expected)
 }
 
 // logAppender simulates live provenance arrival: records written to the
 // volume's Lasagna log back-to-back (names disjoint from the query
 // workload, so results stay stable) until stopped. Returns a stop func
-// reporting how many records were appended.
-func logAppender(vol *lasagna.FS, tag string) (stop func() (int64, error)) {
+// reporting the first append error.
+func logAppender(vol *lasagna.FS, tag string) (stop func() error) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	var n int64
 	var failed error
 	wg.Add(1)
 	go func() {
@@ -82,17 +69,16 @@ func logAppender(vol *lasagna.FS, tag string) (stop func() (int64, error)) {
 					failed = err
 					return
 				}
-				n += 2
 			}
 			// Rate-limit: ingestion is a fixed offered load (the same in
 			// both phases), not a CPU-saturating antagonist.
 			time.Sleep(10 * time.Millisecond)
 		}
 	}()
-	return func() (int64, error) {
+	return func() error {
 		close(done)
 		wg.Wait()
-		return n, failed
+		return failed
 	}
 }
 
@@ -149,15 +135,12 @@ func ServeDataset(files int) (*waldo.DB, []string) {
 // log-append load, and remote results are verified identical to quiesced
 // local evaluations before any number is reported.
 func Serve(records, clients int, secs float64) (ServeBenchResult, error) {
-	res := ServeBenchResult{Clients: clients, Secs: secs}
+	var res ServeBenchResult
 	phase := time.Duration(secs * float64(time.Second))
 
 	// The queried chain database, applied directly (it stands for history
 	// already ingested); the volume log supplies the live load.
 	db, queries := ServeDataset(records / 3)
-	res.Query = queries[0] + fmt.Sprintf(" (1 of %d rotating targets)", len(queries))
-	recs, _, _ := db.Stats()
-	res.Records = int(recs)
 
 	lower := vfs.NewMemFS("servelower", nil)
 	vol, err := lasagna.New("servevol", lasagna.Config{
@@ -191,23 +174,22 @@ func Serve(records, clients int, secs float64) (ServeBenchResult, error) {
 	stop := logAppender(vol, "base")
 	start := time.Now()
 	deadline := start.Add(phase)
-	for time.Now().Before(deadline) {
+	baseQueries := 0
+	for ; time.Now().Before(deadline); baseQueries++ {
 		if err := w.Drain(); err != nil {
 			stop()
 			return res, err
 		}
-		plan := plans[int(res.BaselineQueries)%len(plans)]
-		if _, err := plan.Execute(graph.New(w.DB)); err != nil {
+		if _, err := plans[baseQueries%len(plans)].Execute(graph.New(w.DB)); err != nil {
 			stop()
 			return res, err
 		}
-		res.BaselineQueries++
 	}
 	baseElapsed := time.Since(start)
-	if res.BaselineIngests, err = stop(); err != nil {
+	if err := stop(); err != nil {
 		return res, err
 	}
-	res.BaselineQPS = float64(res.BaselineQueries) / baseElapsed.Seconds()
+	res.BaselineQPS = float64(baseQueries) / baseElapsed.Seconds()
 
 	// Phase two: the same aggregate query count through passd, fanned out
 	// over concurrent connections, each query on a pinned snapshot, the
@@ -270,7 +252,7 @@ func Serve(records, clients int, secs float64) (ServeBenchResult, error) {
 	}
 	wg.Wait()
 	serveElapsed := time.Since(start)
-	if res.ServeIngests, err = stop(); err != nil {
+	if err := stop(); err != nil {
 		return res, err
 	}
 	if err := w.Stop(); err != nil {
@@ -284,31 +266,14 @@ func Serve(records, clients int, secs float64) (ServeBenchResult, error) {
 	for _, n := range counts {
 		total += n
 	}
-	res.ServeQueries = total
 	st, err := conns[0].Stats()
 	if err != nil {
 		return res, err
 	}
 	res.Shed = st.Shed
-	res.CacheHits = st.CacheHits
-	res.CacheMisses = st.CacheMisses
 	res.ServeQPS = float64(total) / serveElapsed.Seconds()
 	if res.BaselineQPS > 0 {
 		res.Speedup = res.ServeQPS / res.BaselineQPS
 	}
 	return res, nil
-}
-
-// PrintServe renders a ServeBenchResult.
-func PrintServe(w io.Writer, r ServeBenchResult) {
-	fmt.Fprintf(w, "passd serving layer (concurrent snapshot queries vs serialized drain-and-query)\n")
-	fmt.Fprintf(w, "  database:  %d records, plus a continuously-filling volume log in both phases\n", r.Records)
-	fmt.Fprintf(w, "  query:     %s\n", r.Query)
-	fmt.Fprintf(w, "  baseline:  %10.1f queries/sec  (serialized in-process drain+eval; %d records arrived)\n",
-		r.BaselineQPS, r.BaselineIngests)
-	fmt.Fprintf(w, "  passd:     %10.1f queries/sec  (%d clients over snapshots, daemon draining; %d records arrived, %d shed)\n",
-		r.ServeQPS, r.Clients, r.ServeIngests, r.Shed)
-	fmt.Fprintf(w, "             %d executed / %d served from snapshot result caches (snapshots refresh per drain)\n",
-		r.CacheMisses, r.CacheHits)
-	fmt.Fprintf(w, "  speedup:   %10.1fx aggregate throughput\n", r.Speedup)
 }

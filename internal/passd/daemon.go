@@ -65,12 +65,10 @@ type DaemonConfig struct {
 // BootReport is what Open did on the way up, for the caller to print.
 type BootReport struct {
 	// Tamper reports tamper evidence on at boot, with the signer's device
-	// and the MMR's leaf count; TamperOff is why it was then switched off
-	// (a damaged frame mid-log the MMR cannot cover), nil if it was not.
+	// and the MMR's leaf count.
 	Tamper    bool
 	DeviceID  [16]byte
 	MMRLeaves uint64
-	TamperOff error
 	// Recovered is checkpoint recovery's outcome (skips included), nil
 	// without a checkpoint store.
 	Recovered *checkpoint.Recovered
@@ -201,26 +199,23 @@ func Open(cfg DaemonConfig) (*Daemon, error) {
 		if d.Log, err = provlog.NewWriter(lfs, "/", 0); err != nil {
 			return nil, err
 		}
-		// A torn final frame would hide every record acked after it from
-		// the drain, so a writer cuts it; mid-log damage stays, for
-		// AttachMMR. A follower's log is written only by the stream.
+		// A bad frame would hide every record acked after it from the
+		// drain, so a writer cuts a torn final frame and refuses to boot
+		// over mid-log damage (provlog.ErrDamaged). With tamper evidence,
+		// every appended frame then becomes an MMR leaf. A follower's log
+		// is written only by the stream.
 		if cfg.Join == "" {
-			if err := d.Log.CutTornTail(intactFrom(bootM, rec, d.Log)); err != nil {
+			err := d.Log.CutTornTail(intactFrom(bootM, rec, d.Log))
+			if err == nil && tamper {
+				err = d.Log.AttachMMR(bootM, logVolume)
+			}
+			if err != nil {
 				d.release()
 				return nil, err
 			}
 		}
 		d.Waldo.Attach(waldo.NewLogVolume(logVolume, lfs, d.Log))
 		srvCfg.Append, srvCfg.Sync = d.Log.AppendRecords, d.Log.Sync
-	}
-	// Every appended frame becomes a leaf — except on a follower, whose
-	// writer never appends. A log the MMR cannot cover (mid-log damage)
-	// serves without tamper evidence rather than refusing boot.
-	if tamper && cfg.Join == "" {
-		if err := d.Log.AttachMMR(bootM, logVolume); err != nil {
-			d.Boot.TamperOff = err
-			tamper, bootM = false, nil
-		}
 	}
 
 	// Replication roles. Followers mirror log.current by byte offset, so

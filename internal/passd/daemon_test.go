@@ -119,7 +119,7 @@ func TestOpenColdBootFromLog(t *testing.T) {
 	if rec := d.Boot.Recovered; rec == nil || rec.DB != nil || len(rec.Skipped) != 0 {
 		t.Fatalf("recovery on an empty store: %+v", rec)
 	}
-	if !d.Boot.Tamper || d.Boot.TamperOff != nil || d.Boot.MMRLeaves != 40 {
+	if !d.Boot.Tamper || d.Boot.MMRLeaves != 40 {
 		t.Fatalf("tamper boot: %+v", d.Boot)
 	}
 	if d.Boot.Replayed != 40 {
@@ -326,7 +326,7 @@ func TestOpenTornTailKeepsTamper(t *testing.T) {
 	tearLog(t, disk, "torn", 0, 10)
 
 	d := openBoot(t, disk)
-	if !d.Boot.Tamper || d.Boot.TamperOff != nil || d.Boot.MMRLeaves != 10 {
+	if !d.Boot.Tamper || d.Boot.MMRLeaves != 10 {
 		t.Fatalf("boot over a torn tail: %+v; want tamper on over the 10 intact records", d.Boot)
 	}
 	ackAfterTear(t, d, "torn", 10)
@@ -418,24 +418,22 @@ func damageFrame(t *testing.T, fs vfs.FS, k int) {
 	}
 }
 
-// TestOpenMidLogDamageStaysOnDisk: a damaged frame with intact frames
-// after it is not a torn tail. Every writer role boots over it with
-// log.current untouched and serves the 13 records before it; where an
-// MMR covers the log, it cannot reach the log end, so tamper evidence
-// switches off and says why.
-func TestOpenMidLogDamageStaysOnDisk(t *testing.T) {
+// TestOpenRefusesMidLogDamage: a damaged frame with intact frames after
+// it is not a torn tail. Every writer role refuses to boot over it with
+// provlog.ErrDamaged and leaves log.current untouched: a record appended
+// behind the damage could never be drained.
+func TestOpenRefusesMidLogDamage(t *testing.T) {
 	primary := replPeerDial
 	primary.Quorum, primary.CommitTimeout, primary.MMR = 1, time.Second, true
 	for _, tc := range []struct {
-		name   string
-		cfg    DaemonConfig
-		ckpt   bool // damage past a checkpoint (and its peak file)
-		tamper bool
+		name string
+		cfg  DaemonConfig
+		ckpt bool // damage past a checkpoint (and its peak file)
 	}{
-		{"standalone past the peak file", DaemonConfig{MMR: true}, true, true},
-		{"primary", primary, false, true},
-		{"no MMR past a checkpoint", DaemonConfig{}, true, false},
-		{"no MMR, cold", DaemonConfig{}, false, false},
+		{"standalone past the peak file", DaemonConfig{MMR: true}, true},
+		{"primary", primary, false},
+		{"no MMR past a checkpoint", DaemonConfig{}, true},
+		{"no MMR, cold", DaemonConfig{}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			disk := newBootDisk()
@@ -464,22 +462,18 @@ func TestOpenMidLogDamageStaysOnDisk(t *testing.T) {
 			}
 
 			d, err := Open(cfg)
-			if err != nil {
-				t.Fatalf("Open: %v", err)
+			if err == nil {
+				d.Close()
 			}
-			t.Cleanup(func() { d.Close() })
+			if !errors.Is(err, provlog.ErrDamaged) {
+				t.Fatalf("Open over mid-log damage: %v, want provlog.ErrDamaged", err)
+			}
 			after, err := disk.log.Stat("/" + provlog.CurrentName)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if after.Size != before.Size {
 				t.Fatalf("boot cut the damaged log from %d to %d bytes", before.Size, after.Size)
-			}
-			if (d.Boot.TamperOff != nil) != tc.tamper {
-				t.Fatalf("TamperOff = %v, want it set: %v", d.Boot.TamperOff, tc.tamper)
-			}
-			if st := bootStats(t, d); st.Records != 13 {
-				t.Fatalf("serving %d records, want the 13 before the damage", st.Records)
 			}
 		})
 	}
@@ -521,7 +515,7 @@ func TestOpenOffGridPeakFileCutsNothing(t *testing.T) {
 	if after.Size != before.Size {
 		t.Fatalf("boot cut the log from %d to %d bytes", before.Size, after.Size)
 	}
-	if d2.Boot.TamperOff != nil || d2.Boot.MMRLeaves != 50 {
+	if !d2.Boot.Tamper || d2.Boot.MMRLeaves != 50 {
 		t.Fatalf("boot over an off-grid peak file: %+v, want tamper on over 50 leaves", d2.Boot)
 	}
 }

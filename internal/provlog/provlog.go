@@ -68,6 +68,11 @@ type DataDesc struct {
 // ErrTorn reports a truncated or corrupt log tail.
 var ErrTorn = errors.New("provlog: torn log tail")
 
+// ErrDamaged reports a bad frame with intact frames after it: damage in
+// the middle of the log, not a crash's torn tail. Nothing may be appended
+// behind it, because no scan reaches past it.
+var ErrDamaged = errors.New("provlog: damaged frame mid-log")
+
 // CurrentName is the active log file name inside the log directory.
 const CurrentName = "log.current"
 
@@ -137,10 +142,10 @@ func NewWriter(fs vfs.FS, dir string, maxSize int64) (*Writer, error) {
 // The torn bytes were never synced, so no acknowledged entry goes with
 // them. A bad frame is torn only if no intact frame starts anywhere after
 // it: a bad frame with an intact one behind it is damage, not a crash
-// (a flipped bit in a length or a body), and is left in place, for
-// AttachMMR to refuse and the operator to see. from is a global log
-// offset known to start a frame (an MMR cursor, a checkpointed offset,
-// or 0); the scan starts there. Call it before the first append.
+// (a flipped bit in a length or a body), so the log is left as it is and
+// the error wraps ErrDamaged with the frame's offset. from is a global
+// log offset known to start a frame (an MMR cursor, a checkpointed
+// offset, or 0); the scan starts there. Call it before the first append.
 func (w *Writer) CutTornTail(from int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -160,7 +165,7 @@ func (w *Writer) CutTornTail(from int64) error {
 		return err
 	}
 	if frameStartsIn(rest[1:]) {
-		return nil
+		return fmt.Errorf("%w at log offset %d of %s", ErrDamaged, w.globalBase+end, CurrentName)
 	}
 	if err := w.f.Truncate(end); err != nil {
 		return err

@@ -252,17 +252,18 @@ func TestCutTornTailOnlyCutsTheFinalFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name   string
-		damage func(vfs.File)
-		want   int64
+		name    string
+		damage  func(vfs.File)
+		want    int64
+		damaged int64 // start of a bad frame with intact ones after it, or -1
 	}{
-		{"short header", func(f vfs.File) { f.Truncate(s2 + 3) }, s2},
-		{"length past the end", func(f vfs.File) { f.Truncate(end - 1) }, s2},
-		{"bad CRC on the final frame", flip(s2 + 6), s2},
-		{"bad CRC mid-log", flip(s1 + 6), end},
-		{"length damaged mid-log", flip(s1), end},
-		{"zero-filled tail", func(f vfs.File) { f.WriteAt(make([]byte, 64), end) }, end},
-		{"bad CRC on the first frame", flip(6), end},
+		{"short header", func(f vfs.File) { f.Truncate(s2 + 3) }, s2, -1},
+		{"length past the end", func(f vfs.File) { f.Truncate(end - 1) }, s2, -1},
+		{"bad CRC on the final frame", flip(s2 + 6), s2, -1},
+		{"bad CRC mid-log", flip(s1 + 6), end, s1},
+		{"length damaged mid-log", flip(s1), end, s1},
+		{"zero-filled tail", func(f vfs.File) { f.WriteAt(make([]byte, 64), end) }, end, -1},
+		{"bad CRC on the first frame", flip(6), end, 0},
 	} {
 		for _, from := range []int64{0, s1} {
 			fs := vfs.NewMemFS("lower", nil)
@@ -278,8 +279,13 @@ func TestCutTornTailOnlyCutsTheFinalFrame(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.CutTornTail(from); err != nil || w.Size() != tc.want {
-				t.Errorf("%s, from %d: %d bytes left (%v), want %d", tc.name, from, w.Size(), err, tc.want)
+			// Damage before the scan's start is never seen, so not refused.
+			var wantErr error
+			if tc.damaged >= from {
+				wantErr = ErrDamaged
+			}
+			if err := w.CutTornTail(from); !errors.Is(err, wantErr) || w.Size() != tc.want {
+				t.Errorf("%s, from %d: %d bytes left (%v), want %d (%v)", tc.name, from, w.Size(), err, tc.want, wantErr)
 			}
 			if st, _ := fs.Stat("/.prov/" + CurrentName); st.Size != w.Size() {
 				t.Errorf("%s, from %d: file holds %d bytes, writer %d", tc.name, from, st.Size, w.Size())
